@@ -19,7 +19,7 @@ def _sieve(limit: int) -> tuple[int, ...]:
     flags[0:2] = b"\x00\x00"
     for p in range(2, int(limit**0.5) + 1):
         if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
+            flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
     return tuple(i for i in range(limit + 1) if flags[i])
 
 
@@ -154,10 +154,12 @@ def general_form(n: int, seed: int = RHO_SEED) -> GeneralForm | None:
     """Split n into the representable shape, or None when a residual prime has odd exponent."""
     if not 1 <= n <= U64_MAX:
         raise ValueError(f"n={n} must be a positive 64-bit integer")
-    return _general_form_from(factor(n, seed))
+    shape = _general_form_from(factor(n, seed))
+    return shape if isinstance(shape, GeneralForm) else None
 
 
-def _general_form_from(factors: list[tuple[int, int]]) -> GeneralForm | None:
+def _general_form_from(factors: list[tuple[int, int]]) -> GeneralForm | tuple[int, int]:
+    """The shape of a factorization, or its first residual prime with odd exponent as (p, e)."""
     scale = 1
     power_of_three = 0
     primes: list[tuple[int, int]] = []
@@ -167,7 +169,7 @@ def _general_form_from(factors: list[tuple[int, int]]) -> GeneralForm | None:
         elif p % 6 == 1:
             primes.append((p, e))
         elif e & 1:
-            return None
+            return p, e
         else:
             scale *= p ** (e >> 1)
     return GeneralForm(scale, power_of_three, primes)

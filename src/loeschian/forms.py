@@ -25,6 +25,11 @@ class Representation(NamedTuple):
         return evaluate(self.a, self.b)
 
 
+# Builds a Representation without the Python-level NamedTuple __new__, for
+# the per-call cost of compose; only for pairs already known to be canonical.
+_new_pair = tuple.__new__
+
+
 def _require_u64(name: str, value: int) -> None:
     if not 0 <= value <= U64_MAX:
         raise ValueError(f"{name}={value} is outside the supported unsigned 64-bit range")
@@ -108,94 +113,84 @@ def check_identities(a: int, b: int, c: int, d: int) -> bool:
     c^2 (a^2+ab+b^2) - a^2 (c^2+cd+d^2) = (bc+ad+ac)(bc-ad).
     They hold for all integers; this evaluates both sides exactly.
     """
-    _require_u64("a", a)
-    _require_u64("b", b)
-    _require_u64("c", c)
-    _require_u64("d", d)
+    # One chained test on the valid path; _require_u64 names the bad entry.
+    if not (0 <= a <= U64_MAX and 0 <= b <= U64_MAX and 0 <= c <= U64_MAX and 0 <= d <= U64_MAX):
+        for name, value in (("a", a), ("b", b), ("c", c), ("d", d)):
+            _require_u64(name, value)
     qab = a * a + a * b + b * b
     qcd = c * c + c * d + d * d
     ad = a * d
     bc = b * c
     ac = a * c
     bd = b * d
+    cq, dq = c * c * qab, d * d * qab
+    aq, bq = a * a * qcd, b * b * qcd
     return (
-        c * c * qab - a * a * qcd == (bc + ad + ac) * (bc - ad)
-        and c * c * qab - b * b * qcd == (ac + bd + bc) * (ac - bd)
-        and d * d * qab - a * a * qcd == (bd + ac + ad) * (bd - ac)
-        and d * d * qab - b * b * qcd == (ad + bc + bd) * (ad - bc)
+        cq - aq == (bc + ad + ac) * (bc - ad)
+        and cq - bq == (ac + bd + bc) * (ac - bd)
+        and dq - aq == (bd + ac + ad) * (bd - ac)
+        and dq - bq == (ad + bc + bd) * (ad - bc)
     )
 
 
 def compose(r1: Representation, r2: Representation, variant: int = 1) -> Representation:
     """Canonical representation of the product of two represented values.
 
-    Two closed-form rules are available; both yield a pair whose form value
-    is exactly evaluate(r1) * evaluate(r2), but generally different pairs.
+    Both rules multiply in the Eisenstein integers, where a^2 + ab + b^2 is
+    the norm: variant 1 takes the product itself, variant 2 the product
+    with the conjugate of r2. Each yields a pair whose form value is exactly
+    evaluate(r1) * evaluate(r2), but generally a different pair.
     """
     a, b = r1
     c, d = r2
     if not (a >= b >= 0 and c >= d >= 0):
         raise ValueError("compose needs canonical pairs with a >= b >= 0")
-    if variant == 1:
-        ac = a * c
-        bd = b * d
-        if ac > bd:
-            alpha = a * d + b * c + bd
-            beta = ac - bd
-        else:
-            alpha = ac + a * d + b * c
-            beta = bd - ac
-    elif variant == 2:
-        ad = a * d
-        bc = b * c
-        if ad > bc:
-            alpha = a * c + b * d + bc
-            beta = ad - bc
-        else:
-            alpha = ad + a * c + b * d
-            beta = bc - ad
-    else:
-        raise ValueError(f"variant must be 1 or 2, got {variant!r}")
-    if alpha < beta:
-        alpha, beta = beta, alpha
-    if alpha * alpha + alpha * beta + beta * beta > U64_MAX:
+    if variant != 1:
+        if variant != 2:
+            raise ValueError(f"variant must be 1 or 2, got {variant!r}")
+        c, d = d, c  # the conjugate of (c, d), up to a unit the fold removes
+    bd = b * d
+    x = a * c - bd
+    y = a * d + b * c + bd
+    if x < 0:
+        x, y = x + y, -x
+    if x < y:
+        x, y = y, x
+    # x >= y >= 0, so the value is at most 3x^2 and only x >= 2^31 can overflow.
+    if x >> 31 and x * x + x * y + y * y > U64_MAX:
         raise OverflowError("product of the two form values exceeds the 64-bit range")
-    return Representation(alpha, beta)
+    return _new_pair(Representation, (x, y))
 
 
 def compose_minus(r1: Representation, r2: Representation, variant: int) -> tuple[int, int]:
     """Pair (x, y) with x^2 - xy + y^2 equal to the product of two form values.
 
-    Variants 3 and 4 mirror the two plus-form rules with the subtraction
-    reversed; variants 5 and 6 need no case split at all.
+    The same Eisenstein product as compose (with the conjugate of r2 in
+    variants 4 and 6), folded onto a nonnegative minus-form pair: variants
+    3 and 4 fold by the sign of the product, variants 5 and 6 need no case
+    split at all.
     """
     a, b = r1
     c, d = r2
     if not (a >= b >= 0 and c >= d >= 0):
         raise ValueError("compose_minus needs canonical pairs with a >= b >= 0")
-    ac = a * c
-    bd = b * d
-    ad = a * d
-    bc = b * c
-    if variant == 3:
-        if ac < bd:
-            alpha, beta = ad + bc + bd, bd - ac
-        else:
-            alpha, beta = ac + ad + bc, ac - bd
-    elif variant == 4:
-        if ad < bc:
-            alpha, beta = ac + bd + bc, bc - ad
-        else:
-            alpha, beta = ad + ac + bd, ad - bc
-    elif variant == 5:
-        alpha, beta = ad + bc + bd, ad + bc + ac
-    elif variant == 6:
-        alpha, beta = ac + bd + bc, ac + bd + ad
-    else:
+    if variant == 4 or variant == 6:
+        c, d = d, c
+    elif variant != 3 and variant != 5:
         raise ValueError(f"variant must be 3, 4, 5, or 6, got {variant!r}")
-    if alpha * alpha - alpha * beta + beta * beta > U64_MAX:
+    bd = b * d
+    x = a * c - bd
+    y = a * d + b * c + bd
+    if variant > 4:
+        x, y = y, x + y
+    elif x >= 0:
+        x, y = x + y, x
+    else:
+        x, y = y, -x
+    # x, y >= 0, so the value is at most max(x, y)^2 and only 2^32 or more can overflow.
+    if (x | y) >> 32 and x * x - x * y + y * y > U64_MAX:
         raise OverflowError("product of the two form values exceeds the 64-bit range")
-    return alpha, beta
+    return x, y
 
 
 def convert_plus_to_minus(r: Representation) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -6,7 +6,7 @@ from itertools import chain, count
 from math import isqrt
 
 from .factorize import GeneralForm, factor, general_form, is_prime, _general_form_from
-from .forms import Representation, U64_MAX, canonicalize, compose, evaluate, solve_b
+from .forms import Representation, U64_MAX, canonicalize, compose, evaluate
 
 
 class NotRepresentableError(ArithmeticError):
@@ -122,12 +122,9 @@ def is_loeschian(n: int) -> Verdict:
         raise ValueError(f"n={n} is outside the supported unsigned 64-bit range")
     if n == 0:
         return Verdict(True, witness=Representation(0, 0))
-    factors = factor(n)
-    for p, e in factors:
-        if p != 3 and p % 6 != 1 and e & 1:
-            return Verdict(False, obstruction=(p, e))
-    shape = _general_form_from(factors)
-    assert shape is not None
+    shape = _general_form_from(factor(n))
+    if not isinstance(shape, GeneralForm):
+        return Verdict(False, obstruction=shape)
     return Verdict(True, witness=_construct(shape, n))
 
 
@@ -204,9 +201,9 @@ def divide_by_square(n: int, k: int) -> Representation:
 def rational_lift(alpha: Fraction, beta: Fraction) -> tuple[int, Representation]:
     """Integer value and witness for a rational point of the form.
 
-    For nonnegative rationals with a^2 + ab + b^2 an integer n, clearing
-    denominators gives n * (bd)^2 as a value of the form at the integer
-    cross products, and dividing the square back out yields a witness.
+    For nonnegative rationals with a^2 + ab + b^2 an integer n, n is a value
+    of the form over the rationals and hence over the integers; the witness
+    is the one represent_fast builds for n.
     """
     if alpha < 0 or beta < 0:
         raise ValueError(f"rational pair ({alpha}, {beta}) must be nonnegative")
@@ -219,6 +216,9 @@ def rational_lift(alpha: Fraction, beta: Fraction) -> tuple[int, Representation]
     n = value.numerator
     if n > U64_MAX:
         raise OverflowError(f"form value {n} exceeds the 64-bit range")
-    k = alpha.denominator * beta.denominator
-    scaled = evaluate(alpha.numerator * beta.denominator, alpha.denominator * beta.numerator)
-    return n, divide_by_square(scaled, k)
+    if n == 0:
+        return n, Representation(0, 0)
+    rep = represent_fast(n)
+    if rep is None:
+        raise RuntimeError(f"form value {n} of a rational point is not representable")
+    return n, rep

@@ -11,7 +11,7 @@ from math import gcd, isqrt
 from random import Random
 from time import perf_counter
 
-from .factorize import PrimeClass, classify_prime, factor
+from .factorize import PrimeClass, _sieve, classify_prime, factor
 from .forms import Representation, U64_MAX, evaluate
 from .represent import (
     NotRepresentableError,
@@ -100,10 +100,10 @@ def verify_conjecture(sweep: SweepRange) -> VerificationReport:
         raise ValueError(f"hi={sweep.hi} exceeds the sweep guard {CONJECTURE_LIMIT}")
     start = perf_counter()
     chunks = _chunks(sweep.lo, sweep.hi, sweep.workers)
-    if sweep.workers == 1 or len(chunks) == 1:
+    if len(chunks) == 1:
         parts = [_conjecture_chunk(c) for c in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=sweep.workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_conjecture_chunk, chunks))
     mismatches = []
     for part in parts:
@@ -137,16 +137,6 @@ def verify_residues(limit: int) -> VerificationReport:
     return VerificationReport(SweepRange(1, limit, 1), checked, mismatches, elapsed)
 
 
-def _prime_sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if flags[p]:
-            step = len(range(p * p, limit + 1, p))
-            flags[p * p :: p] = b"\x00" * step
-    return [i for i in range(limit + 1) if flags[i]]
-
-
 def verify_prime_theorems(limit: int) -> VerificationReport:
     """Check classification, counting, construction, and enumeration on every prime <= limit.
 
@@ -164,7 +154,7 @@ def verify_prime_theorems(limit: int) -> VerificationReport:
             mismatches.append(Mismatch(n, expected, actual))
 
     checked = 0
-    for p in _prime_sieve(limit):
+    for p in _sieve(limit):
         checked += 1
         cls = classify_prime(p)
         reps = enumerate_reps(p)

@@ -180,6 +180,9 @@ def test_lift(capsys):
     code, out, _ = invoke(capsys, "lift", "2", "1")
     assert code == 0 and out == "7 [2, 1]\n"
 
+    code, out, _ = invoke(capsys, "lift", "4194320/1099520016403", "1099517919237/1099520016403")
+    assert code == 0 and out == "1 [1, 0]\n"
+
     code, _, err = invoke(capsys, "lift", "1/2", "5/2")
     assert code == 2 and "not an integer" in err
 

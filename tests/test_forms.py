@@ -155,6 +155,10 @@ def test_check_identities_known_values():
     assert check_identities(1, 1, 1, 1)
     assert check_identities(2, 1, 3, 1)
     assert check_identities(5, 0, 0, 4)
+    with pytest.raises(ValueError, match="d=-1"):
+        check_identities(1, 1, 1, -1)
+    with pytest.raises(ValueError, match="b="):
+        check_identities(0, U64_MAX + 1, 0, U64_MAX + 1)
 
 
 @given(entries, entries, entries, entries)
@@ -168,6 +172,13 @@ def test_compose_known_values():
     assert compose(Representation(2, 1), Representation(2, 1), 1) == (5, 3)
     assert compose(Representation(2, 1), Representation(2, 1), 2) == (7, 0)
     assert compose(Representation(1, 0), Representation(9, 1), 1) == (9, 1)
+    # Each side of ac = bd for variant 1 and of ad = bc for variant 2;
+    # ac < bd cannot happen on canonical pairs.
+    assert compose(Representation(3, 1), Representation(4, 2), 1) == (12, 10)
+    assert compose(Representation(2, 2), Representation(3, 3), 1) == (18, 0)
+    assert compose(Representation(3, 1), Representation(5, 1), 2) == (19, 2)
+    assert compose(Representation(2, 1), Representation(4, 2), 2) == (14, 0)
+    assert compose(Representation(3, 1), Representation(4, 2), 2) == (18, 2)
 
 
 def test_compose_rejects_bad_input():
@@ -192,6 +203,20 @@ def test_compose_minus_known_values():
     assert compose_minus(Representation(1, 1), Representation(1, 1), 5) == (3, 3)
     assert compose_minus(Representation(2, 1), Representation(2, 1), 3) == (8, 3)
     assert compose_minus(Representation(1, 0), Representation(1, 0), 6) == (1, 1)
+    # Each side of ac = bd for variants 3 and 5, of ad = bc for 4 and 6.
+    for r1, r2, want3, want5 in (
+        (Representation(3, 1), Representation(4, 2), (22, 10), (12, 22)),
+        (Representation(2, 2), Representation(3, 3), (18, 0), (18, 18)),
+    ):
+        assert compose_minus(r1, r2, 3) == want3
+        assert compose_minus(r1, r2, 5) == want5
+    for r1, r2, want4, want6 in (
+        (Representation(3, 1), Representation(5, 1), (21, 2), (21, 19)),
+        (Representation(2, 1), Representation(4, 2), (14, 0), (14, 14)),
+        (Representation(3, 1), Representation(4, 2), (20, 2), (18, 20)),
+    ):
+        assert compose_minus(r1, r2, 4) == want4
+        assert compose_minus(r1, r2, 6) == want6
 
 
 def test_compose_minus_rejects_bad_variant():

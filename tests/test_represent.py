@@ -192,6 +192,11 @@ def test_divide_by_square_zero_quotient():
 def test_rational_lift_known_values():
     assert rational_lift(Fraction(5, 7), Fraction(3, 7)) == (1, (1, 0))
     assert rational_lift(Fraction(2), Fraction(1)) == (7, (2, 1))
+    # Value-1 points whose denominator product passes 2^64.
+    for u, v in ((2**20 + 1, 2**20 + 7), (999983, 1000003), (1234567, 1234571)):
+        d = u * u + u * v + v * v
+        point = Fraction(v * v - u * u, d), Fraction(u * (2 * v + u), d)
+        assert rational_lift(*point) == (1, (1, 0))
 
 
 def test_rational_lift_errors():

@@ -67,6 +67,29 @@ def test_verify_conjecture_worker_count_does_not_change_content():
     assert serial.ok and parallel.ok
 
 
+def test_verify_conjecture_starts_no_more_processes_than_chunks(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", SerialPool)
+    report = verify_conjecture(SweepRange(1, 3, workers=64))
+    assert sizes == [3]
+    assert report.sweep.workers == 64
+    assert report.ok and report.checked == 3
+
+
 def test_verify_residues_known_limits():
     report = verify_residues(100)
     assert report.ok
