@@ -323,15 +323,22 @@ def run(argv: list[str] | None = None) -> int:
     try:
         code, doc, lines = _HANDLERS[args.command](args)
     except NotRepresentableError as exc:
-        _emit(args.json, {"representable": False, "detail": str(exc)}, [str(exc)])
-        return EXIT_NEGATIVE
+        code, doc, lines = EXIT_NEGATIVE, {"representable": False, "detail": str(exc)}, [str(exc)]
     except OverflowError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args.json, doc, lines)
+    try:
+        _emit(args.json, doc, lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early, as `| head` does. Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -87,13 +87,13 @@ def _rho_split(n: int, rng: Random) -> int:
             return g
 
 
-def _factor_hard(n: int, counts: dict[int, int], rng: Random) -> None:
+def _factor_hard(n: int, counts: dict[int, int], seed: int) -> None:
     if n < _TRIAL_COVERED or is_prime(n):
         counts[n] = counts.get(n, 0) + 1
         return
-    d = _rho_split(n, rng)
-    _factor_hard(d, counts, rng)
-    _factor_hard(n // d, counts, rng)
+    d = _rho_split(n, Random(seed))
+    _factor_hard(d, counts, seed)
+    _factor_hard(n // d, counts, seed)
 
 
 def factor(n: int, seed: int = RHO_SEED) -> list[tuple[int, int]]:
@@ -114,7 +114,7 @@ def factor(n: int, seed: int = RHO_SEED) -> list[tuple[int, int]]:
                 e += 1
             counts[p] = e
     if n > 1:
-        _factor_hard(n, counts, Random(seed))
+        _factor_hard(n, counts, seed)
     return sorted(counts.items())
 
 

@@ -5,18 +5,21 @@ deterministic: mismatches come out in ascending order of n no matter how
 many workers ran, and only elapsed_ms varies between runs.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from heapq import merge
+from itertools import islice
 from math import gcd, isqrt
 from random import Random
 from time import perf_counter
 
 from .factorize import PrimeClass, _sieve, classify_prime, factor
-from .forms import Representation, U64_MAX, evaluate
+from .forms import U64_MAX, evaluate
 from .represent import (
     NotRepresentableError,
     count_formula,
-    cube_root_unity,
     enumerate_reps,
     is_loeschian,
     represent_prime,
@@ -33,7 +36,7 @@ _ENTRY_LIMIT = isqrt(U64_MAX // 3)
 
 @dataclass(frozen=True)
 class SweepRange:
-    """Inclusive range [lo, hi] plus the worker count for chunked sweeps."""
+    """Inclusive range [lo, hi] plus the worker count for parallel sweeps."""
 
     lo: int
     hi: int
@@ -67,22 +70,22 @@ class VerificationReport:
         return not self.mismatches
 
 
-def _chunks(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    total = hi - lo + 1
-    size = -(-total // workers)
-    out = []
-    start = lo
-    while start <= hi:
-        end = min(start + size - 1, hi)
-        out.append((start, end))
-        start = end + 1
-    return out
+def _report(sweep: SweepRange, checked: int, found: Iterator[tuple[int, object, object]],
+            start: float) -> VerificationReport:
+    """Report the first MAX_MISMATCHES (n, expected, actual) tuples of found.
+
+    The rest of found is drained unrecorded, so the sweep still checks every
+    input; elapsed_ms runs from start until the sweep is done.
+    """
+    mismatches = [Mismatch(n, str(expected), str(actual))
+                  for n, expected, actual in islice(found, MAX_MISMATCHES)]
+    deque(found, maxlen=0)
+    return VerificationReport(sweep, checked, mismatches, (perf_counter() - start) * 1000.0)
 
 
-def _conjecture_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int]]:
-    lo, hi = bounds
+def _conjecture_part(ns: range) -> list[tuple[int, int, int]]:
     bad = []
-    for n in range(lo, hi + 1):
+    for n in ns:
         expected = count_formula(n)
         actual = len(enumerate_reps(n))
         if expected != actual:
@@ -93,48 +96,43 @@ def _conjecture_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int]]:
 def verify_conjecture(sweep: SweepRange) -> VerificationReport:
     """Compare the counting formula with exhaustive enumeration over [lo, hi].
 
-    Work is split into contiguous chunks, one per worker; reports merge in
-    ascending order, so output is identical for any worker count.
+    The range is split in strides over at most one process per CPU, so every
+    process gets the same mix of small and large n; the report still echoes
+    sweep.workers. Results merge in ascending order of n, so the report
+    content is identical for any worker count.
     """
     if sweep.hi > CONJECTURE_LIMIT:
         raise ValueError(f"hi={sweep.hi} exceeds the sweep guard {CONJECTURE_LIMIT}")
     start = perf_counter()
-    chunks = _chunks(sweep.lo, sweep.hi, sweep.workers)
-    if len(chunks) == 1:
-        parts = [_conjecture_chunk(c) for c in chunks]
+    total = sweep.hi - sweep.lo + 1
+    k = min(sweep.workers, total, os.cpu_count() or 1)
+    strides = [range(sweep.lo + i, sweep.hi + 1, k) for i in range(k)]
+    if k == 1:
+        parts = map(_conjecture_part, strides)
     else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_conjecture_chunk, chunks))
-    mismatches = []
-    for part in parts:
-        for n, expected, actual in part:
-            if len(mismatches) >= MAX_MISMATCHES:
-                break
-            mismatches.append(Mismatch(n, str(expected), str(actual)))
-    elapsed = (perf_counter() - start) * 1000.0
-    return VerificationReport(sweep, sweep.hi - sweep.lo + 1, mismatches, elapsed)
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            parts = list(pool.map(_conjecture_part, strides))
+    return _report(sweep, total, merge(*parts), start)
 
 
 def verify_residues(limit: int) -> VerificationReport:
     """Every value over 0 <= b <= a <= limit must be 0, 1, 3, or 4 (mod 6)."""
     if not 1 <= limit <= _ENTRY_LIMIT:
         raise ValueError(f"limit={limit} must be positive and keep values within 64 bits")
-    start = perf_counter()
-    mismatches = []
-    checked = 0
-    for a in range(limit + 1):
-        aa = a * a
-        for b in range(a + 1):
-            value = aa + a * b + b * b
-            checked += 1
-            if value % 6 not in _GOOD_RESIDUES:
-                if len(mismatches) < MAX_MISMATCHES:
-                    mismatches.append(
-                        Mismatch(value, "residue 0, 1, 3, or 4 (mod 6)",
-                                 f"residue {value % 6} at pair ({a}, {b})")
-                    )
-    elapsed = (perf_counter() - start) * 1000.0
-    return VerificationReport(SweepRange(1, limit, 1), checked, mismatches, elapsed)
+
+    def mismatches():
+        for a in range(limit + 1):
+            aa = a * a
+            for b in range(a + 1):
+                value = aa + a * b + b * b
+                if value % 6 not in _GOOD_RESIDUES:
+                    yield (value, "residue 0, 1, 3, or 4 (mod 6)",
+                           f"residue {value % 6} at pair ({a}, {b})")
+
+    checked = (limit + 1) * (limit + 2) // 2
+    return _report(SweepRange(1, limit, 1), checked, mismatches(), perf_counter())
 
 
 def verify_prime_theorems(limit: int) -> VerificationReport:
@@ -147,39 +145,34 @@ def verify_prime_theorems(limit: int) -> VerificationReport:
     if not 2 <= limit <= U64_MAX:
         raise ValueError(f"limit={limit} must be at least 2")
     start = perf_counter()
-    mismatches = []
+    primes = _sieve(limit)
 
-    def note(n: int, expected: str, actual: str) -> None:
-        if len(mismatches) < MAX_MISMATCHES:
-            mismatches.append(Mismatch(n, expected, actual))
+    def mismatches():
+        for p in primes:
+            cls = classify_prime(p)
+            reps = enumerate_reps(p)
+            predicted = count_formula(p)
+            if len(reps) != predicted:
+                yield p, f"count formula {predicted}", f"{len(reps)} enumerated"
+            if cls is PrimeClass.RESIDUAL:
+                if reps:
+                    yield p, "no representations for a residual prime", f"{reps}"
+                try:
+                    rep = represent_prime(p)
+                    yield p, "refusal for a residual prime", f"returned {rep}"
+                except NotRepresentableError:
+                    pass
+            else:
+                if len(reps) != 1:
+                    yield p, "exactly one representation", f"{len(reps)} enumerated"
+                try:
+                    rep = represent_prime(p)
+                    if not reps or rep != reps[0]:
+                        yield p, f"construction matching {reps}", f"constructed {rep}"
+                except NotRepresentableError:
+                    yield p, "a constructed representation", "refusal"
 
-    checked = 0
-    for p in _sieve(limit):
-        checked += 1
-        cls = classify_prime(p)
-        reps = enumerate_reps(p)
-        predicted = count_formula(p)
-        if len(reps) != predicted:
-            note(p, f"count formula {predicted}", f"{len(reps)} enumerated")
-        if cls is PrimeClass.RESIDUAL:
-            if reps:
-                note(p, "no representations for a residual prime", f"{reps}")
-            try:
-                rep = represent_prime(p)
-                note(p, "refusal for a residual prime", f"returned {rep}")
-            except NotRepresentableError:
-                pass
-        else:
-            if len(reps) != 1:
-                note(p, "exactly one representation", f"{len(reps)} enumerated")
-            try:
-                rep = represent_prime(p)
-                if not reps or rep != reps[0]:
-                    note(p, f"construction matching {reps}", f"constructed {rep}")
-            except NotRepresentableError:
-                note(p, "a constructed representation", "refusal")
-    elapsed = (perf_counter() - start) * 1000.0
-    return VerificationReport(SweepRange(1, limit, 1), checked, mismatches, elapsed)
+    return _report(SweepRange(1, limit, 1), len(primes), mismatches(), start)
 
 
 def _divisors(factors: list[tuple[int, int]]) -> list[int]:
@@ -201,35 +194,30 @@ def verify_factor_theorem(pair_bound: int, samples: int, seed: int) -> Verificat
         raise ValueError(f"pair_bound={pair_bound} must be positive and keep values within 64 bits")
     if samples < 1:
         raise ValueError(f"samples={samples} must be at least 1")
-    start = perf_counter()
-    rng = Random(seed)
-    mismatches = []
 
-    def note(n: int, expected: str, actual: str) -> None:
-        if len(mismatches) < MAX_MISMATCHES:
-            mismatches.append(Mismatch(n, expected, actual))
+    def mismatches():
+        rng = Random(seed)
+        for _ in range(samples):
+            while True:
+                x = rng.randrange(1, pair_bound + 1)
+                y = rng.randrange(1, pair_bound + 1)
+                if gcd(x, y) == 1:
+                    break
+            a, b = (x, y) if x >= y else (y, x)
+            value = evaluate(a, b)
+            for d in _divisors(factor(value)):
+                verdict = is_loeschian(d)
+                if verdict.representable:
+                    continue
+                p, e = verdict.obstruction
+                yield (d, f"divisor of ({a}, {b}) value {value} representable",
+                       f"prime {p} has odd exponent {e}")
+                cofactor_clean = all(q == 3 or q % 6 == 1 for q, _ in factor(value // d))
+                if cofactor_clean:
+                    yield (d, f"representability forced by the clean cofactor {value // d}",
+                           f"prime {p} has odd exponent {e}")
 
-    for _ in range(samples):
-        while True:
-            x = rng.randrange(1, pair_bound + 1)
-            y = rng.randrange(1, pair_bound + 1)
-            if gcd(x, y) == 1:
-                break
-        a, b = (x, y) if x >= y else (y, x)
-        value = evaluate(a, b)
-        for d in _divisors(factor(value)):
-            verdict = is_loeschian(d)
-            if verdict.representable:
-                continue
-            p, e = verdict.obstruction
-            note(d, f"divisor of ({a}, {b}) value {value} representable",
-                 f"prime {p} has odd exponent {e}")
-            cofactor_clean = all(q == 3 or q % 6 == 1 for q, _ in factor(value // d))
-            if cofactor_clean:
-                note(d, f"representability forced by the clean cofactor {value // d}",
-                     f"prime {p} has odd exponent {e}")
-    elapsed = (perf_counter() - start) * 1000.0
-    return VerificationReport(SweepRange(1, pair_bound, 1), samples, mismatches, elapsed)
+    return _report(SweepRange(1, pair_bound, 1), samples, mismatches(), perf_counter())
 
 
 def emit_sequence(limit: int) -> list[int]:

@@ -1,9 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import loeschian
 from loeschian.cli import run
 
 
@@ -267,6 +271,22 @@ def test_usage_errors(capsys):
     assert invoke(capsys, "represent", "-5")[0] == 2
     assert invoke(capsys, "represent", "18446744073709551616")[0] == 2
     assert invoke(capsys, "represent", "ninety")[0] == 2
+
+
+def test_closed_pipe_exits_quietly_with_the_handler_code():
+    # The output is far larger than a pipe buffer, so the write after the
+    # reader has gone fails with EPIPE, as under `loeschian sequence | head -1`.
+    env = dict(os.environ, PYTHONPATH=str(Path(loeschian.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from loeschian.cli import main; main()",
+         "sequence", "--limit", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    with proc.stderr:
+        assert proc.stdout.readline() == b"0\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
 
 
 def test_installed_script_matches_in_process_output(capsys):

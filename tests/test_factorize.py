@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import loeschian.factorize as factorize_mod
 from loeschian import (
     GeneralForm,
     PrimeClass,
@@ -92,6 +93,22 @@ def test_factor_is_deterministic_and_seed_independent_in_value():
     assert factor(n) == first
     assert factor(n, seed=12345) == first
     assert first == sorted(sympy.factorint(n).items())
+
+
+def test_factor_seeds_a_generator_only_for_rho(monkeypatch):
+    built = []
+
+    class CountingRandom(Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(factorize_mod, "Random", CountingRandom)
+    for n in (999983, 997 * 1009, 2 * (2**61 - 1), U64_MAX - 58):
+        factor(n)
+    assert built == []
+    factor(16141829676117908357)
+    assert built and set(built) == {RHO_SEED}
 
 
 @settings(max_examples=200)

@@ -1,5 +1,7 @@
+import concurrent.futures
+import os
+
 import pytest
-from hypothesis import given, strategies as st
 
 import loeschian.verify as verify_mod
 from loeschian import (
@@ -10,7 +12,7 @@ from loeschian import (
     verify_prime_theorems,
     verify_residues,
 )
-from loeschian.verify import MAX_MISMATCHES, _chunks
+from loeschian.verify import MAX_MISMATCHES
 from oracles import brute_sequence
 
 
@@ -22,23 +24,6 @@ def test_sweep_range_validation():
         SweepRange(5, 4)
     with pytest.raises(ValueError):
         SweepRange(1, 5, workers=0)
-
-
-@given(
-    st.integers(min_value=1, max_value=10**9),
-    st.integers(min_value=0, max_value=10**4),
-    st.integers(min_value=1, max_value=16),
-)
-def test_chunks_partition_the_range(lo, span, workers):
-    hi = lo + span
-    chunks = _chunks(lo, hi, workers)
-    assert 1 <= len(chunks) <= workers
-    assert chunks[0][0] == lo
-    assert chunks[-1][1] == hi
-    for (s1, e1), (s2, e2) in zip(chunks, chunks[1:]):
-        assert s1 <= e1
-        assert s2 == e1 + 1
-    assert sum(e - s + 1 for s, e in chunks) == hi - lo + 1
 
 
 def test_verify_conjecture_known_ranges():
@@ -59,15 +44,9 @@ def test_verify_conjecture_guard():
         verify_conjecture(SweepRange(1, 10**8 + 1))
 
 
-def test_verify_conjecture_worker_count_does_not_change_content():
-    serial = verify_conjecture(SweepRange(1, 2000, workers=1))
-    parallel = verify_conjecture(SweepRange(1, 2000, workers=3))
-    assert serial.checked == parallel.checked
-    assert serial.mismatches == parallel.mismatches
-    assert serial.ok and parallel.ok
-
-
-def test_verify_conjecture_starts_no_more_processes_than_chunks(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap in a pool that records max_workers and maps in-process, starting no process."""
     sizes = []
 
     class SerialPool:
@@ -83,11 +62,37 @@ def test_verify_conjecture_starts_no_more_processes_than_chunks(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_verify_conjecture_worker_count_does_not_change_content(monkeypatch, pool_sizes):
+    count_formula = verify_mod.count_formula
+    monkeypatch.setattr(verify_mod, "count_formula",
+                        lambda n: count_formula(n) + (n % 7 == 0))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    reports = [verify_conjecture(SweepRange(1, 10000, w)) for w in (1, 2, 3)]
+    assert pool_sizes == [2, 3]
+    first = reports[0].mismatches
+    assert len(first) == MAX_MISMATCHES
+    assert [m.n for m in first] == list(range(7, 7 * MAX_MISMATCHES + 1, 7))
+    assert first[0] == verify_mod.Mismatch(7, "2", "1")
+    for report in reports:
+        assert report.checked == 10000
+        assert report.mismatches == first
+
+
+def test_verify_conjecture_starts_no_more_processes_than_chunks(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     report = verify_conjecture(SweepRange(1, 3, workers=64))
-    assert sizes == [3]
     assert report.sweep.workers == 64
     assert report.ok and report.checked == 3
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = verify_conjecture(SweepRange(1, 10, workers=64))
+    assert report.sweep.workers == 64
+    assert report.ok and report.checked == 10
+    assert pool_sizes == [3, 2]
 
 
 def test_verify_residues_known_limits():
