@@ -3,7 +3,8 @@
 JSON documents carry every mathematical integer as a decimal string so
 consumers face no precision cliff near 2^64; small metadata fields such as
 variant, workers, and elapsed_ms stay native. Exit codes: 0 success,
-1 negative mathematical answer, 2 usage error, 3 overflow.
+1 negative mathematical answer, 2 usage error, 3 overflow, 4 internal error
+(a failed self-check inside the library, reported without a traceback).
 """
 
 import argparse
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
+EXIT_INTERNAL = 4
 
 WORKERS_ENV = "LOESCHIAN_WORKERS"
 
@@ -111,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="every representation, ascending second entry")
     p.add_argument("--fast", action="store_true",
-                   help="construct one witness from the factorization instead of scanning")
+                   help="construct one witness from the factorization instead of every product")
 
     p = add("count", "number of canonical representations of N")
     p.add_argument("n", type=_u64)
@@ -330,6 +332,9 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         _emit(args.json, doc, lines)
         sys.stdout.flush()

@@ -1,9 +1,9 @@
 """Deterministic primality, factorization, and prime classification for 64-bit inputs."""
 
-from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import gcd, isqrt
 from random import Random
+from typing import NamedTuple
 
 from .forms import U64_MAX
 
@@ -91,6 +91,11 @@ def _factor_hard(n: int, counts: dict[int, int], seed: int) -> None:
     if n < _TRIAL_COVERED or is_prime(n):
         counts[n] = counts.get(n, 0) + 1
         return
+    r = isqrt(n)
+    if r * r == n:  # one isqrt settles a square, where rho would need ~n^(1/4) steps
+        _factor_hard(r, counts, seed)
+        _factor_hard(r, counts, seed)
+        return
     d = _rho_split(n, Random(seed))
     _factor_hard(d, counts, seed)
     _factor_hard(n // d, counts, seed)
@@ -136,8 +141,7 @@ def classify_prime(p: int) -> PrimeClass:
     return PrimeClass.RESIDUAL
 
 
-@dataclass(frozen=True)
-class GeneralForm:
+class GeneralForm(NamedTuple):
     """Shape n = scale^2 * 3^power_of_three * product of (1 mod 6) prime powers.
 
     Every representable n splits this way; primes contains the (1 mod 6)

@@ -1,9 +1,10 @@
 """Deciding which integers the form a^2 + ab + b^2 attains, and finding witnesses."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
 from math import isqrt
+from operator import itemgetter
+from typing import NamedTuple
 
 from .factorize import GeneralForm, factor, general_form, is_prime, _general_form_from
 from .forms import Representation, U64_MAX, canonicalize, compose, evaluate
@@ -78,6 +79,25 @@ def represent_prime(p: int) -> Representation:
 def enumerate_reps(n: int) -> list[Representation]:
     """Every canonical representation of n, ordered by ascending second entry.
 
+    Built from the factorization, since Z[w] has unique factorization: each
+    representation is a product over the (1 mod 6) primes p^e of pi^k times
+    conj(pi)^(e-k), k = 0..e, where pi and conj(pi) are the Eisenstein primes
+    over p; times the power of 1 - w and the scale. This costs one factor call
+    plus a few compositions per representation, not an O(sqrt n) scan.
+    """
+    if not 0 <= n <= U64_MAX:
+        raise ValueError(f"n={n} is outside the supported unsigned 64-bit range")
+    if n == 0:
+        return [Representation(0, 0)]
+    shape = general_form(n)
+    if shape is None:
+        return []
+    return sorted(_construct(shape, n, (1, 2)), key=itemgetter(1))
+
+
+def _scan_reps(n: int) -> list[Representation]:
+    """enumerate_reps by exhaustive search, the independent path the sweeps check against.
+
     Scans the window sqrt(n/3) <= a <= sqrt(n); each a admits at most one b.
     """
     if not 0 <= n <= U64_MAX:
@@ -99,8 +119,7 @@ def enumerate_reps(n: int) -> list[Representation]:
     return reps
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the representability test, with evidence either way.
 
     Exactly one of witness (a representation) and obstruction (a residual
@@ -125,22 +144,32 @@ def is_loeschian(n: int) -> Verdict:
     shape = _general_form_from(factor(n))
     if not isinstance(shape, GeneralForm):
         return Verdict(False, obstruction=shape)
-    return Verdict(True, witness=_construct(shape, n))
+    return Verdict(True, witness=_construct(shape, n)[0])
 
 
-def _construct(shape: GeneralForm, n: int) -> Representation:
-    rep = _REP_ONE
+def _construct(shape: GeneralForm, n: int,
+               variants: tuple[int, ...] = (2,)) -> list[Representation]:
+    """Representations of n built from its shape, each verified by evaluate.
+
+    Every pair found so far is composed with each split prime's pair once per
+    exponent, in each of the variants: variant 2 alone builds one witness,
+    variants 1 and 2 build every representation. The fold in compose removes
+    the 12 symmetries (6 units times conjugation), so the set holds no
+    duplicates.
+    """
+    reps = {_REP_ONE}
     for p, e in shape.primes:
         prime_rep = represent_prime(p)
         for _ in range(e):
-            rep = compose(rep, prime_rep, 2)
+            reps = {compose(r, prime_rep, v) for r in reps for v in variants}
     for _ in range(shape.power_of_three):
-        rep = compose(rep, _REP_THREE, 2)
-    if shape.scale != 1:
-        rep = Representation(rep.a * shape.scale, rep.b * shape.scale)
-    if evaluate(rep.a, rep.b) != n:
-        raise RuntimeError(f"constructed representation for {n} failed verification")
-    return rep
+        reps = {compose(r, _REP_THREE, 1) for r in reps}
+    s = shape.scale
+    built = [Representation(a * s, b * s) for a, b in reps]
+    for a, b in built:
+        if evaluate(a, b) != n:
+            raise RuntimeError(f"constructed representation for {n} failed verification")
+    return built
 
 
 def represent_fast(n: int) -> Representation | None:
@@ -155,7 +184,7 @@ def represent_fast(n: int) -> Representation | None:
     shape = general_form(n)
     if shape is None:
         return None
-    return _construct(shape, n)
+    return _construct(shape, n)[0]
 
 
 def count_formula(n: int) -> int:

@@ -8,19 +8,19 @@ many workers ran, and only elapsed_ms varies between runs.
 import os
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from heapq import merge
 from itertools import islice
 from math import gcd, isqrt
 from random import Random
 from time import perf_counter
+from typing import NamedTuple
 
 from .factorize import PrimeClass, _sieve, classify_prime, factor
 from .forms import U64_MAX, evaluate
 from .represent import (
     NotRepresentableError,
+    _scan_reps,
     count_formula,
-    enumerate_reps,
     is_loeschian,
     represent_prime,
 )
@@ -34,23 +34,20 @@ _GOOD_RESIDUES = frozenset({0, 1, 3, 4})
 _ENTRY_LIMIT = isqrt(U64_MAX // 3)
 
 
-@dataclass(frozen=True)
-class SweepRange:
+class SweepRange(NamedTuple("SweepRange", [("lo", int), ("hi", int), ("workers", int)])):
     """Inclusive range [lo, hi] plus the worker count for parallel sweeps."""
 
-    lo: int
-    hi: int
-    workers: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.lo <= self.hi <= U64_MAX:
-            raise ValueError(f"need 1 <= lo <= hi within 64 bits, got [{self.lo}, {self.hi}]")
-        if self.workers < 1:
-            raise ValueError(f"workers={self.workers} must be at least 1")
+    def __new__(cls, lo: int, hi: int, workers: int = 1):
+        if not 1 <= lo <= hi <= U64_MAX:
+            raise ValueError(f"need 1 <= lo <= hi within 64 bits, got [{lo}, {hi}]")
+        if workers < 1:
+            raise ValueError(f"workers={workers} must be at least 1")
+        return super().__new__(cls, lo, hi, workers)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """One failed check: the n it happened at, what was expected, what showed up."""
 
     n: int
@@ -58,12 +55,16 @@ class Mismatch:
     actual: str
 
 
-@dataclass
-class VerificationReport:
-    sweep: SweepRange
-    checked: int
-    mismatches: list[Mismatch] = field(default_factory=list)
-    elapsed_ms: float = 0.0
+class VerificationReport(NamedTuple("VerificationReport", [
+        ("sweep", SweepRange), ("checked", int), ("mismatches", list[Mismatch]),
+        ("elapsed_ms", float)])):
+    __slots__ = ()
+
+    def __new__(cls, sweep: SweepRange, checked: int, mismatches: list[Mismatch] | None = None,
+                elapsed_ms: float = 0.0):
+        # A fresh list per report, never one default shared between them.
+        return super().__new__(cls, sweep, checked, [] if mismatches is None else mismatches,
+                               elapsed_ms)
 
     @property
     def ok(self) -> bool:
@@ -87,7 +88,7 @@ def _conjecture_part(ns: range) -> list[tuple[int, int, int]]:
     bad = []
     for n in ns:
         expected = count_formula(n)
-        actual = len(enumerate_reps(n))
+        actual = len(_scan_reps(n))
         if expected != actual:
             bad.append((n, expected, actual))
     return bad
@@ -150,7 +151,7 @@ def verify_prime_theorems(limit: int) -> VerificationReport:
     def mismatches():
         for p in primes:
             cls = classify_prime(p)
-            reps = enumerate_reps(p)
+            reps = _scan_reps(p)
             predicted = count_formula(p)
             if len(reps) != predicted:
                 yield p, f"count formula {predicted}", f"{len(reps)} enumerated"

@@ -4,10 +4,13 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 import loeschian
+import loeschian.cli as cli_mod
+from loeschian import count_formula, evaluate
 from loeschian.cli import run
 
 
@@ -67,6 +70,33 @@ def test_represent_default_and_fast(capsys):
 
     code, out, _ = invoke(capsys, "represent", "0", "--fast")
     assert code == 0 and out == "[0, 0]\n"
+
+
+def test_represent_all_near_two_to_the_64_comes_from_the_factorization(capsys):
+    # 7 * 13 * 19 * 31 * 37 * 43 * 400009 * 500029, a 64-bit value with 128
+    # representations; a scan would visit about 1.8 * 10^9 candidates.
+    n = 17056574766001938349
+    start = perf_counter()
+    code, doc = invoke_json(capsys, "represent", str(n), "--all", "--json")
+    elapsed = perf_counter() - start
+    assert code == 0
+    pairs = [(int(a), int(b)) for a, b in doc["representations"]]
+    assert all(a >= b >= 0 and evaluate(a, b) == n for a, b in pairs)
+    assert [b for _, b in pairs] == sorted({b for _, b in pairs})
+    assert len(pairs) == count_formula(n) == 128
+    assert elapsed < 2.0
+
+
+def test_internal_errors_get_their_own_exit_code(capsys, monkeypatch):
+    def broken(n):
+        raise RuntimeError(f"constructed representation for {n} failed verification")
+
+    monkeypatch.setattr(cli_mod, "is_loeschian", broken)
+    code, out, err = invoke(capsys, "classify", "91")
+    assert code == cli_mod.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: constructed representation for 91 failed verification\n"
+    assert "Traceback" not in err
 
 
 def test_represent_negative_answer(capsys):

@@ -1,3 +1,4 @@
+from math import isqrt
 from random import Random
 
 import pytest
@@ -109,6 +110,50 @@ def test_factor_seeds_a_generator_only_for_rho(monkeypatch):
     assert built == []
     factor(16141829676117908357)
     assert built and set(built) == {RHO_SEED}
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    """Count the calls of the rho stage, which still does its work."""
+    calls = []
+    rho_split = factorize_mod._rho_split
+
+    def counting(n, rng):
+        calls.append(n)
+        return rho_split(n, rng)
+
+    monkeypatch.setattr(factorize_mod, "_rho_split", counting)
+    return calls
+
+
+def test_factor_splits_prime_squares_without_rho(rho_calls):
+    rng = Random(41)
+    for _ in range(10):
+        p = sympy.nextprime(rng.randrange(2**30, 2**32 - 64))
+        assert factor(p * p) == [(p, 2)]
+    p = sympy.nextprime(rng.randrange(2**14, 2**15))
+    assert factor(p**4) == [(p, 4)]
+    assert rho_calls == []
+
+
+def test_factor_with_square_parts_matches_sympy(rho_calls):
+    rng = Random(43)
+
+    def prime(lo_bits, hi_bits):
+        return sympy.nextprime(rng.randrange(2**lo_bits, 2**hi_bits - 64))
+
+    cases = [16141829676117908357]  # 7 * 1073754191 * 2147582461
+    for _ in range(5):
+        cases.append(prime(30, 32) ** 2)
+        cases.append((prime(14, 15) * prime(15, 16)) ** 2)
+        cases.append(prime(18, 20) ** 2 * rng.choice([2**10 * 3**5, 5**3 * 7**2 * 997, 46189]))
+        cases.append(prime(18, 20) ** 2 * prime(18, 20))
+        cases.append(prime(29, 31) * prime(29, 31))
+    for n in cases:
+        assert factor(n) == sorted(sympy.factorint(n).items()), n
+    # Rho still splits what is not a square, and never sees a square.
+    assert rho_calls
+    assert all(isqrt(m) ** 2 != m for m in rho_calls)
 
 
 @settings(max_examples=200)

@@ -22,6 +22,17 @@ def test_import_leaves_the_process_pool_out():
     assert result.stdout == "False\n"
 
 
+def test_import_leaves_dataclasses_and_inspect_out():
+    # The records are NamedTuples, so importing the package does not load
+    # dataclasses, nor inspect, ast, dis and tokenize along with it.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = "import sys, loeschian; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_modules_use_every_name_they_import():
     # __init__.py imports names only to re-export them.
     for path in sorted(PACKAGE.glob("*.py")):

@@ -18,6 +18,7 @@ from loeschian import (
     represent_fast,
     represent_prime,
 )
+from loeschian.represent import _scan_reps
 from oracles import brute_reps, sieve_primes
 
 
@@ -86,6 +87,47 @@ def test_enumerate_known_values():
 def test_enumerate_matches_brute_force():
     for n in range(1501):
         assert [tuple(r) for r in enumerate_reps(n)] == brute_reps(n), n
+
+
+def test_enumerate_matches_the_scan_to_ten_to_the_fifth():
+    # enumerate_reps builds from the factorization; the scan searches.
+    for n in range(10**5 + 1):
+        assert enumerate_reps(n) == _scan_reps(n), n
+
+
+_SPLIT_PRIMES = [p for p in sieve_primes(2000) if p % 6 == 1]
+_RESIDUAL_PRIMES = [p for p in sieve_primes(2000) if p % 6 == 5 or p == 2]
+
+
+@st.composite
+def built_values(draw):
+    """A value up to 2 * 10^12 with a known shape: split primes, 3, residual squares.
+
+    Now and then one residual prime has an odd exponent, so n is no value of the form.
+    """
+    limit = 2 * 10**12
+    n = 3 ** draw(st.integers(0, 4))
+    for p in draw(st.lists(st.sampled_from(_SPLIT_PRIMES), max_size=7)):
+        if n * p <= limit:
+            n *= p
+    for p in draw(st.lists(st.sampled_from(_RESIDUAL_PRIMES), max_size=3)):
+        if n * p * p <= limit:
+            n *= p * p
+    if draw(st.integers(0, 5)) == 0:
+        p = draw(st.sampled_from(_RESIDUAL_PRIMES))
+        if n * p <= limit:
+            n *= p
+    return n
+
+
+@settings(max_examples=40, deadline=None)
+@given(built_values())
+@example(7**2 * 13 * 19 * 31 * 37 * 43 * 3**3 * 2**2 * 5**2)
+@example(7**2 * 13**2 * 19**2 * 31**2)
+def test_enumerate_matches_the_scan_on_built_values(n):
+    reps = enumerate_reps(n)
+    assert reps == _scan_reps(n)
+    assert len(reps) == count_formula(n)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
