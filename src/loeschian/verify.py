@@ -6,10 +6,10 @@ many workers ran, and only elapsed_ms varies between runs.
 """
 
 import os
+from array import array
 from collections import deque
 from collections.abc import Iterator
-from heapq import merge
-from itertools import islice
+from itertools import chain, compress, islice
 from math import gcd, isqrt
 from random import Random
 from time import perf_counter
@@ -27,6 +27,9 @@ from .represent import (
 
 MAX_MISMATCHES = 1000
 CONJECTURE_LIMIT = 10**8
+
+# Width of one windowed count: 2^16 two-byte counts, 128 KiB per window.
+_SEGMENT = 1 << 16
 
 _GOOD_RESIDUES = frozenset({0, 1, 3, 4})
 
@@ -84,38 +87,64 @@ def _report(sweep: SweepRange, checked: int, found: Iterator[tuple[int, object, 
     return VerificationReport(sweep, checked, mismatches, (perf_counter() - start) * 1000.0)
 
 
-def _conjecture_part(ns: range) -> list[tuple[int, int, int]]:
-    bad = []
-    for n in ns:
-        expected = count_formula(n)
-        actual = len(_scan_reps(n))
-        if expected != actual:
-            bad.append((n, expected, actual))
-    return bad
+def _window_counts(lo: int, hi: int) -> array:
+    """Number of canonical pairs 0 <= b <= a with a^2 + ab + b^2 = n, for each n in [lo, hi].
+
+    One exhaustive lattice pass that never looks at a factorization, so it
+    stays independent of count_formula. For each a in
+    [ceil(sqrt(lo/3)), floor(sqrt(hi))] an exact isqrt bound gives the first b
+    whose value reaches lo; the value then steps by a + 2b + 1 until it passes
+    hi or b passes a. The cost is O(hi - lo + sqrt(hi)), not O(sqrt n) per n.
+    """
+    counts = array("H", [0]) * (hi - lo + 1)
+    third = -(-lo // 3)  # the first a has a^2 >= ceil(lo / 3)
+    for a in range(isqrt(third - 1) + 1 if third else 0, isqrt(hi) + 1):
+        aa = a * a
+        # Smallest b with (2b + a)^2 >= 4 lo - 3a^2, that is a^2 + ab + b^2 >= lo.
+        disc = 4 * lo - 3 * aa
+        b = 0 if disc <= aa else (isqrt(disc - 1) + 2 - a) >> 1
+        value = aa + a * b + b * b
+        while value <= hi and b <= a:
+            counts[value - lo] += 1
+            value += a + 2 * b + 1
+            b += 1
+    return counts
+
+
+def _segments(lo: int, hi: int) -> Iterator[range]:
+    """[lo, hi] cut into ascending contiguous ranges of at most _SEGMENT values."""
+    for start in range(lo, hi + 1, _SEGMENT):
+        yield range(start, min(start + _SEGMENT, hi + 1))
+
+
+def _conjecture_part(segment: range) -> list[tuple[int, int, int]]:
+    counts = _window_counts(segment[0], segment[-1])
+    return [(n, expected, actual) for n, actual in zip(segment, counts)
+            if (expected := count_formula(n)) != actual]
 
 
 def verify_conjecture(sweep: SweepRange) -> VerificationReport:
     """Compare the counting formula with exhaustive enumeration over [lo, hi].
 
-    The range is split in strides over at most one process per CPU, so every
-    process gets the same mix of small and large n; the report still echoes
-    sweep.workers. Results merge in ascending order of n, so the report
+    The range is cut into contiguous segments, each counted by one lattice
+    pass. A process pool starts only when there is more than one segment,
+    with at most one process per segment and per CPU; the report still echoes
+    sweep.workers. Segments come back in ascending order of n, so the report
     content is identical for any worker count.
     """
     if sweep.hi > CONJECTURE_LIMIT:
         raise ValueError(f"hi={sweep.hi} exceeds the sweep guard {CONJECTURE_LIMIT}")
     start = perf_counter()
-    total = sweep.hi - sweep.lo + 1
-    k = min(sweep.workers, total, os.cpu_count() or 1)
-    strides = [range(sweep.lo + i, sweep.hi + 1, k) for i in range(k)]
+    segments = list(_segments(sweep.lo, sweep.hi))
+    k = min(sweep.workers, len(segments), os.cpu_count() or 1)
     if k == 1:
-        parts = map(_conjecture_part, strides)
+        parts = map(_conjecture_part, segments)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=k) as pool:
-            parts = list(pool.map(_conjecture_part, strides))
-    return _report(sweep, total, merge(*parts), start)
+            parts = list(pool.map(_conjecture_part, segments))
+    return _report(sweep, sweep.hi - sweep.lo + 1, chain.from_iterable(parts), start)
 
 
 def verify_residues(limit: int) -> VerificationReport:
@@ -222,7 +251,11 @@ def verify_factor_theorem(pair_bound: int, samples: int, seed: int) -> Verificat
 
 
 def emit_sequence(limit: int) -> list[int]:
-    """Ascending list of every representable value up to limit, starting at 0."""
+    """Ascending list of every representable value up to limit, starting at 0.
+
+    The values with a nonzero lattice count, segment by segment over [0, limit].
+    """
     if not 0 <= limit <= U64_MAX:
         raise ValueError(f"limit={limit} is outside the supported unsigned 64-bit range")
-    return [n for n in range(limit + 1) if is_loeschian(n).representable]
+    return [n for segment in _segments(0, limit)
+            for n in compress(segment, _window_counts(segment[0], segment[-1]))]

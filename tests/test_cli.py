@@ -3,14 +3,17 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import loeschian
 import loeschian.cli as cli_mod
-from loeschian import count_formula, evaluate
+from loeschian import U64_MAX, count_formula, evaluate, is_loeschian, represent_fast
 from loeschian.cli import run
 
 
@@ -287,6 +290,48 @@ def test_verify_worker_default_comes_from_environment(capsys, monkeypatch):
         capsys, "verify", "conjecture", "--max", "50", "--workers", "2", "--json"
     )
     assert doc["workers"] == 2
+
+
+def _run_json(*argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([*argv, "--json"])
+    return code, json.loads(out.getvalue()) if out.getvalue() else None, err.getvalue()
+
+
+def _pair(rep):
+    return [str(rep.a), str(rep.b)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(0, 10**6), st.integers(0, U64_MAX)))
+@example(0)
+@example(1)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**32 + 1)
+@example(U64_MAX)
+def test_cli_json_matches_the_library(n):
+    verdict = is_loeschian(n)
+    if verdict.representable:
+        expected = 0, {"n": str(n), "representable": True, "witness": _pair(verdict.witness)}
+    else:
+        p, e = verdict.obstruction
+        expected = 1, {"n": str(n), "representable": False,
+                       "obstruction": {"prime": str(p), "exponent": str(e)}}
+    assert _run_json("classify", str(n)) == (*expected, "")
+
+    if n == 0:
+        code, doc, err = _run_json("count", "0")
+        assert code == 2 and doc is None and err.startswith("error: ")
+    else:
+        count = count_formula(n)
+        doc = {"n": str(n), "count": str(count)}
+        assert _run_json("count", str(n)) == (0 if count else 1, doc, "")
+
+    rep = represent_fast(n) if n else verdict.witness
+    doc = {"n": str(n), "representation": _pair(rep) if rep else None}
+    assert _run_json("represent", str(n), "--fast") == (0 if rep else 1, doc, "")
 
 
 def test_json_output_is_compact_single_line(capsys):

@@ -1,18 +1,22 @@
 import concurrent.futures
 import os
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import loeschian.verify as verify_mod
 from loeschian import (
     SweepRange,
     emit_sequence,
+    is_loeschian,
     verify_conjecture,
     verify_factor_theorem,
     verify_prime_theorems,
     verify_residues,
 )
-from loeschian.verify import MAX_MISMATCHES
+from loeschian.represent import _scan_reps
+from loeschian.verify import MAX_MISMATCHES, _SEGMENT, _window_counts
 from oracles import brute_sequence
 
 
@@ -48,6 +52,44 @@ def test_verify_conjecture_known_ranges():
     assert report.ok
 
 
+def _scan_counts(lo, hi):
+    return [len(_scan_reps(n)) for n in range(lo, hi + 1)]
+
+
+def test_window_counts_match_the_scan():
+    # One-wide windows at a^2 and 3a^2 hit the b = 0 and a = b edges; 49 has both
+    # (7, 0) and (5, 3). Seeded 200-wide windows run up to the sweep guard.
+    rng = Random(20)
+    guard = verify_mod.CONJECTURE_LIMIT
+    windows = [(0, 3000), (1, 1), (49, 49), (_SEGMENT - 300, _SEGMENT + 300)]
+    windows += [(n, n) for a in (1, 2, 17, 1000, 9999) for n in (a * a, 3 * a * a)]
+    windows += [(guard - 199, guard)]
+    for _ in range(4):
+        hi = guard - rng.randrange(10**6)
+        windows.append((hi - 199, hi))
+    for lo, hi in windows:
+        assert list(_window_counts(lo, hi)) == _scan_counts(lo, hi), (lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**8 - 40), st.integers(min_value=0, max_value=40))
+def test_window_counts_match_the_scan_on_drawn_windows(lo, width):
+    assert list(_window_counts(lo, lo + width)) == _scan_counts(lo, lo + width)
+
+
+def test_verify_conjecture_runs_no_per_n_scan(monkeypatch):
+    calls = []
+    scan = verify_mod._scan_reps
+
+    def spy(n):
+        calls.append(n)
+        return scan(n)
+
+    monkeypatch.setattr(verify_mod, "_scan_reps", spy)
+    assert verify_conjecture(SweepRange(1, 2000, 1)).ok
+    assert calls == []
+
+
 def test_verify_conjecture_guard():
     with pytest.raises(ValueError):
         verify_conjecture(SweepRange(1, 10**8 + 1))
@@ -76,6 +118,7 @@ def pool_sizes(monkeypatch):
 
 
 def test_verify_conjecture_worker_count_does_not_change_content(monkeypatch, pool_sizes):
+    monkeypatch.setattr(verify_mod, "_SEGMENT", 1000)
     count_formula = verify_mod.count_formula
     monkeypatch.setattr(verify_mod, "count_formula",
                         lambda n: count_formula(n) + (n % 7 == 0))
@@ -92,6 +135,7 @@ def test_verify_conjecture_worker_count_does_not_change_content(monkeypatch, poo
 
 
 def test_verify_conjecture_starts_no_more_processes_than_chunks(monkeypatch, pool_sizes):
+    monkeypatch.setattr(verify_mod, "_SEGMENT", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     report = verify_conjecture(SweepRange(1, 3, workers=64))
     assert report.sweep.workers == 64
@@ -102,6 +146,14 @@ def test_verify_conjecture_starts_no_more_processes_than_chunks(monkeypatch, poo
     assert report.sweep.workers == 64
     assert report.ok and report.checked == 10
     assert pool_sizes == [3, 2]
+
+
+def test_verify_conjecture_one_segment_starts_no_pool(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    hi = verify_mod.CONJECTURE_LIMIT
+    report = verify_conjecture(SweepRange(hi - 199, hi, workers=64))
+    assert report.ok and report.checked == 200
+    assert pool_sizes == []
 
 
 def test_verify_residues_known_limits():
@@ -187,6 +239,11 @@ def test_emit_sequence_known_values():
 
 def test_emit_sequence_matches_brute_force():
     assert emit_sequence(500) == brute_sequence(500)
+
+
+def test_emit_sequence_matches_the_factorization_to_ten_to_the_fifth():
+    limit = 10**5
+    assert emit_sequence(limit) == [n for n in range(limit + 1) if is_loeschian(n).representable]
 
 
 def test_emit_sequence_prefix_property():
