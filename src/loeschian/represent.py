@@ -95,30 +95,6 @@ def enumerate_reps(n: int) -> list[Representation]:
     return sorted(_construct(shape, n, (1, 2)), key=itemgetter(1))
 
 
-def _scan_reps(n: int) -> list[Representation]:
-    """enumerate_reps by exhaustive search, the independent path the sweeps check against.
-
-    Scans the window sqrt(n/3) <= a <= sqrt(n); each a admits at most one b.
-    """
-    if not 0 <= n <= U64_MAX:
-        raise ValueError(f"n={n} is outside the supported unsigned 64-bit range")
-    if n == 0:
-        return [Representation(0, 0)]
-    reps = []
-    n4 = 4 * n
-    lo = isqrt(n // 3)
-    while 3 * lo * lo < n:
-        lo += 1
-    for a in range(isqrt(n), lo - 1, -1):
-        disc = n4 - 3 * a * a
-        s = isqrt(disc)
-        if s * s == disc:
-            t = s - a
-            if t >= 0 and not t & 1 and t >> 1 <= a:
-                reps.append(Representation(a, t >> 1))
-    return reps
-
-
 class Verdict(NamedTuple):
     """Outcome of the representability test, with evidence either way.
 

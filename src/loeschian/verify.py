@@ -17,13 +17,7 @@ from typing import NamedTuple
 
 from .factorize import PrimeClass, _sieve, classify_prime, factor
 from .forms import U64_MAX, evaluate
-from .represent import (
-    NotRepresentableError,
-    _scan_reps,
-    count_formula,
-    is_loeschian,
-    represent_prime,
-)
+from .represent import NotRepresentableError, count_formula, is_loeschian, represent_prime
 
 MAX_MISMATCHES = 1000
 CONJECTURE_LIMIT = 10**8
@@ -166,39 +160,42 @@ def verify_residues(limit: int) -> VerificationReport:
 
 
 def verify_prime_theorems(limit: int) -> VerificationReport:
-    """Check classification, counting, construction, and enumeration on every prime <= limit.
+    """Check classification, counting, and construction on every prime <= limit.
 
-    Primes that are 3 or 1 (mod 6) must have exactly one representation and
-    represent_prime must find it; residual primes must have none and
-    represent_prime must refuse.
+    The counts come from one lattice window over [0, limit]. Primes that are
+    3 or 1 (mod 6) must have exactly one representation, and represent_prime
+    must return a canonical pair of value p, which is then the only one;
+    residual primes must have none and represent_prime must refuse.
     """
-    if not 2 <= limit <= U64_MAX:
+    if limit < 2:
         raise ValueError(f"limit={limit} must be at least 2")
+    if limit > CONJECTURE_LIMIT:
+        raise ValueError(f"limit={limit} exceeds the sweep guard {CONJECTURE_LIMIT}")
     start = perf_counter()
     primes = _sieve(limit)
+    counts = _window_counts(0, limit)
 
     def mismatches():
         for p in primes:
-            cls = classify_prime(p)
-            reps = _scan_reps(p)
+            count = counts[p]
             predicted = count_formula(p)
-            if len(reps) != predicted:
-                yield p, f"count formula {predicted}", f"{len(reps)} enumerated"
-            if cls is PrimeClass.RESIDUAL:
-                if reps:
-                    yield p, "no representations for a residual prime", f"{reps}"
+            if count != predicted:
+                yield p, f"count formula {predicted}", f"{count} enumerated"
+            if classify_prime(p) is PrimeClass.RESIDUAL:
+                if count:
+                    yield p, "no representations for a residual prime", f"{count} enumerated"
                 try:
                     rep = represent_prime(p)
                     yield p, "refusal for a residual prime", f"returned {rep}"
                 except NotRepresentableError:
                     pass
             else:
-                if len(reps) != 1:
-                    yield p, "exactly one representation", f"{len(reps)} enumerated"
+                if count != 1:
+                    yield p, "exactly one representation", f"{count} enumerated"
                 try:
                     rep = represent_prime(p)
-                    if not reps or rep != reps[0]:
-                        yield p, f"construction matching {reps}", f"constructed {rep}"
+                    if not (0 <= rep.b <= rep.a and evaluate(*rep) == p):
+                        yield p, f"a canonical pair of value {p}", f"constructed {rep}"
                 except NotRepresentableError:
                     yield p, "a constructed representation", "refusal"
 

@@ -21,6 +21,28 @@ def brute_reps(n):
     return sorted(found, key=lambda pair: pair[1])
 
 
+def scan_reps(n):
+    """All pairs a >= b >= 0 with a^2 + ab + b^2 = n, ordered by ascending b.
+
+    Scans the window sqrt(n/3) <= a <= sqrt(n); each a admits at most one b.
+    """
+    if n == 0:
+        return [(0, 0)]
+    reps = []
+    n4 = 4 * n
+    lo = isqrt(n // 3)
+    while 3 * lo * lo < n:
+        lo += 1
+    for a in range(isqrt(n), lo - 1, -1):
+        disc = n4 - 3 * a * a
+        s = isqrt(disc)
+        if s * s == disc:
+            t = s - a
+            if t >= 0 and not t & 1 and t >> 1 <= a:
+                reps.append((a, t >> 1))
+    return reps
+
+
 def brute_sequence(limit):
     """Every value the form attains up to limit, by marking a double loop."""
     hit = bytearray(limit + 1)

@@ -346,6 +346,9 @@ def test_usage_errors(capsys):
     assert invoke(capsys, "represent", "-5")[0] == 2
     assert invoke(capsys, "represent", "18446744073709551616")[0] == 2
     assert invoke(capsys, "represent", "ninety")[0] == 2
+    for bound in (10**17, U64_MAX):
+        code, out, err = invoke(capsys, "verify", "primes", "--max", str(bound))
+        assert (code, out) == (2, "") and err.startswith("error: "), err
 
 
 def test_closed_pipe_exits_quietly_with_the_handler_code():

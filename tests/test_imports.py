@@ -47,3 +47,23 @@ def test_modules_use_every_name_they_import():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def test_private_functions_have_a_caller():
+    # The package has no linter, so a private helper whose last caller left
+    # would otherwise stay behind unnoticed.
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    private = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    assert private <= used, f"no caller in the package for {sorted(private - used)}"

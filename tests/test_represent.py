@@ -18,8 +18,7 @@ from loeschian import (
     represent_fast,
     represent_prime,
 )
-from loeschian.represent import _scan_reps
-from oracles import brute_reps, sieve_primes
+from oracles import brute_reps, scan_reps, sieve_primes
 
 
 def test_cube_root_unity_known_values():
@@ -92,7 +91,7 @@ def test_enumerate_matches_brute_force():
 def test_enumerate_matches_the_scan_to_ten_to_the_fifth():
     # enumerate_reps builds from the factorization; the scan searches.
     for n in range(10**5 + 1):
-        assert enumerate_reps(n) == _scan_reps(n), n
+        assert enumerate_reps(n) == scan_reps(n), n
 
 
 _SPLIT_PRIMES = [p for p in sieve_primes(2000) if p % 6 == 1]
@@ -126,7 +125,7 @@ def built_values(draw):
 @example(7**2 * 13**2 * 19**2 * 31**2)
 def test_enumerate_matches_the_scan_on_built_values(n):
     reps = enumerate_reps(n)
-    assert reps == _scan_reps(n)
+    assert reps == scan_reps(n)
     assert len(reps) == count_formula(n)
 
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import loeschian.verify as verify_mod
 from loeschian import (
+    U64_MAX,
+    Representation,
     SweepRange,
     emit_sequence,
     is_loeschian,
@@ -15,9 +17,8 @@ from loeschian import (
     verify_prime_theorems,
     verify_residues,
 )
-from loeschian.represent import _scan_reps
 from loeschian.verify import MAX_MISMATCHES, _SEGMENT, _window_counts
-from oracles import brute_sequence
+from oracles import brute_sequence, scan_reps
 
 
 def test_sweep_range_validation():
@@ -53,7 +54,7 @@ def test_verify_conjecture_known_ranges():
 
 
 def _scan_counts(lo, hi):
-    return [len(_scan_reps(n)) for n in range(lo, hi + 1)]
+    return [len(scan_reps(n)) for n in range(lo, hi + 1)]
 
 
 def test_window_counts_match_the_scan():
@@ -75,19 +76,6 @@ def test_window_counts_match_the_scan():
 @given(st.integers(min_value=0, max_value=10**8 - 40), st.integers(min_value=0, max_value=40))
 def test_window_counts_match_the_scan_on_drawn_windows(lo, width):
     assert list(_window_counts(lo, lo + width)) == _scan_counts(lo, lo + width)
-
-
-def test_verify_conjecture_runs_no_per_n_scan(monkeypatch):
-    calls = []
-    scan = verify_mod._scan_reps
-
-    def spy(n):
-        calls.append(n)
-        return scan(n)
-
-    monkeypatch.setattr(verify_mod, "_scan_reps", spy)
-    assert verify_conjecture(SweepRange(1, 2000, 1)).ok
-    assert calls == []
 
 
 def test_verify_conjecture_guard():
@@ -192,11 +180,37 @@ def test_verify_prime_theorems_known_limits():
     assert report.ok
 
 
+def test_verify_prime_theorems_counts_from_the_lattice_window(monkeypatch):
+    window_counts = verify_mod._window_counts
+
+    def one_more_at_seven(lo, hi):
+        counts = window_counts(lo, hi)
+        if lo <= 7 <= hi:
+            counts[7 - lo] += 1
+        return counts
+
+    monkeypatch.setattr(verify_mod, "_window_counts", one_more_at_seven)
+    assert verify_prime_theorems(100).mismatches == [
+        verify_mod.Mismatch(7, "count formula 1", "2 enumerated"),
+        verify_mod.Mismatch(7, "exactly one representation", "2 enumerated"),
+    ]
+
+
+def test_verify_prime_theorems_requires_a_canonical_construction(monkeypatch):
+    # (1, 2) has the value 7 but is not canonical, so it is not the one pair counted.
+    represent_prime = verify_mod.represent_prime
+    monkeypatch.setattr(verify_mod, "represent_prime",
+                        lambda p: Representation(1, 2) if p == 7 else represent_prime(p))
+    assert verify_prime_theorems(100).mismatches == [verify_mod.Mismatch(
+        7, "a canonical pair of value 7", "constructed Representation(a=1, b=2)")]
+
+
 def test_prime_theorems_hold_by_exhaustive_search_below_ten_to_the_sixth():
     # enumerate_reps builds a prime's representation with represent_prime, so
-    # comparing the two shows nothing; this sweep counts with the scan instead.
-    # A residual prime must have no representation and be refused, any other
-    # prime exactly one, equal to what represent_prime constructs.
+    # comparing the two shows nothing; this sweep counts from the lattice window
+    # instead. A residual prime must have no representation and be refused, any
+    # other prime exactly one, and represent_prime must construct a canonical
+    # pair of value p, which is then the only one.
     report = verify_prime_theorems(10**6 - 1)
     assert report.ok, report.mismatches[:5]
     assert report.checked == 78498
@@ -205,6 +219,10 @@ def test_prime_theorems_hold_by_exhaustive_search_below_ten_to_the_sixth():
 def test_verify_prime_theorems_rejects_tiny_limit():
     with pytest.raises(ValueError):
         verify_prime_theorems(1)
+    # Past the conjecture sweep's guard the sieve and the window would not fit in memory.
+    for limit in (verify_mod.CONJECTURE_LIMIT + 1, 10**17, U64_MAX):
+        with pytest.raises(ValueError, match="exceeds the sweep guard 100000000"):
+            verify_prime_theorems(limit)
 
 
 def test_verify_factor_theorem_known_inputs():
