@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .factorize import factor
 from .forms import (
-    Representation,
     U64_MAX,
     canonicalize,
     compose,
@@ -30,7 +29,6 @@ from .represent import (
     enumerate_reps,
     is_loeschian,
     rational_lift,
-    represent_fast,
     represent_prime,
 )
 from .verify import (
@@ -99,32 +97,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a single JSON document")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                        help="emit a single JSON document")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("classify", "decide whether N is a value of the form")
+    p = add("classify", "decide whether N is a value of the form", _cmd_classify)
     p.add_argument("n", type=_u64)
 
-    p = add("represent", "list or construct representations of N")
+    p = add("represent", "list or construct representations of N", _cmd_represent)
     p.add_argument("n", type=_u64)
-    p.add_argument("--all", action="store_true",
-                   help="every representation, ascending second entry")
-    p.add_argument("--fast", action="store_true",
-                   help="construct one witness from the factorization instead of every product")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--all", action="store_true",
+                     help="every representation, ascending second entry")
+    how.add_argument("--fast", action="store_true",
+                     help="construct one witness from the factorization instead of every product")
 
-    p = add("count", "number of canonical representations of N")
+    p = add("count", "number of canonical representations of N", _cmd_count)
     p.add_argument("n", type=_u64)
 
-    p = add("prime-rep", "canonical representation of a prime")
+    p = add("prime-rep", "canonical representation of a prime", _cmd_prime_rep)
     p.add_argument("p", type=_u64)
 
-    p = add("root", "cube root of unity below P/2 for a prime P = 1 (mod 6)")
+    p = add("root", "cube root of unity below P/2 for a prime P = 1 (mod 6)", _cmd_root)
     p.add_argument("p", type=_u64)
 
-    p = add("compose", "compose two pairs into a pair representing the product")
+    p = add("compose", "compose two pairs into a pair representing the product", _cmd_compose)
     p.add_argument("a", type=_u64)
     p.add_argument("b", type=_u64)
     p.add_argument("c", type=_u64)
@@ -132,23 +132,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", type=int, choices=range(1, 7), default=1, metavar="1..6",
                    help="rules 1 and 2 target the plus form, 3 to 6 the minus form")
 
-    p = add("convert", "move a pair between the plus and minus forms")
+    p = add("convert", "move a pair between the plus and minus forms", _cmd_convert)
     p.add_argument("a", type=_u64)
     p.add_argument("b", type=_u64)
     p.add_argument("--direction", choices=("plus-to-minus", "minus-to-plus"),
                    default="plus-to-minus")
 
-    p = add("lift", "integer value and witness for a rational point")
+    p = add("lift", "integer value and witness for a rational point", _cmd_lift)
     p.add_argument("alpha", type=_fraction, help="nonnegative fraction like 5/7")
     p.add_argument("beta", type=_fraction)
 
-    p = add("sequence", "ascending representable values from 0 up to a limit")
+    p = add("sequence", "ascending representable values from 0 up to a limit", _cmd_sequence)
     p.add_argument("--limit", type=_u64, required=True)
 
-    p = add("factor", "prime factorization of N")
+    p = add("factor", "prime factorization of N", _cmd_factor)
     p.add_argument("n", type=_u64)
 
-    p = add("verify", "run a checking sweep and report mismatches")
+    p = add("verify", "run a checking sweep and report mismatches", _cmd_verify)
     p.add_argument("kind", choices=("conjecture", "residues", "primes", "factors"))
     p.add_argument("--max", type=_u64, required=True, dest="bound",
                    help="sweep bound: hi for conjecture, limit for residues and primes, "
@@ -173,8 +173,6 @@ def _cmd_classify(args):
 
 
 def _cmd_represent(args):
-    if args.all and args.fast:
-        raise ValueError("--all and --fast are mutually exclusive")
     if args.all:
         reps = enumerate_reps(args.n)
         doc = {"n": str(args.n), "representations": [_pair(r) for r in reps]}
@@ -182,7 +180,7 @@ def _cmd_represent(args):
             return EXIT_NEGATIVE, doc, [f"{args.n} is not representable"]
         return EXIT_OK, doc, [_pair_text(r) for r in reps]
     if args.fast:
-        rep = represent_fast(args.n) if args.n else Representation(0, 0)
+        rep = is_loeschian(args.n).witness
     else:
         reps = enumerate_reps(args.n)
         rep = reps[0] if reps else None
@@ -244,9 +242,8 @@ def _cmd_lift(args):
 
 
 def _cmd_sequence(args):
-    terms = emit_sequence(args.limit)
-    doc = {"limit": str(args.limit), "terms": [str(t) for t in terms]}
-    return EXIT_OK, doc, [str(t) for t in terms]
+    terms = [str(t) for t in emit_sequence(args.limit)]
+    return EXIT_OK, {"limit": str(args.limit), "terms": terms}, terms
 
 
 def _cmd_factor(args):
@@ -292,21 +289,6 @@ def _cmd_verify(args):
     return (EXIT_OK if report.ok else EXIT_NEGATIVE), doc, lines
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "represent": _cmd_represent,
-    "count": _cmd_count,
-    "prime-rep": _cmd_prime_rep,
-    "root": _cmd_root,
-    "compose": _cmd_compose,
-    "convert": _cmd_convert,
-    "lift": _cmd_lift,
-    "sequence": _cmd_sequence,
-    "factor": _cmd_factor,
-    "verify": _cmd_verify,
-}
-
-
 def _emit(as_json: bool, doc: dict, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(doc, separators=(",", ":")))
@@ -323,7 +305,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        code, doc, lines = _HANDLERS[args.command](args)
+        code, doc, lines = args.handler(args)
     except NotRepresentableError as exc:
         code, doc, lines = EXIT_NEGATIVE, {"representable": False, "detail": str(exc)}, [str(exc)]
     except OverflowError as exc:

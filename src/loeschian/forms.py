@@ -56,7 +56,11 @@ def evaluate_minus(a: int, b: int) -> int:
 
 
 def canonicalize(a: int, b: int) -> Representation:
-    """Fold a signed pair onto the wedge a >= b >= 0 without changing its value."""
+    """Fold a signed pair onto the wedge a >= b >= 0 without changing its value.
+
+    Turns by (c, d) -> (c + d, -c), the 60 degree unit rotation compose folds
+    with, into the 60 degree cone c, d >= 0 (five turns at most); then orders it.
+    """
     if not -U64_MAX <= a <= U64_MAX:
         raise ValueError(f"a={a} is outside the supported range")
     if not -U64_MAX <= b <= U64_MAX:
@@ -64,16 +68,9 @@ def canonicalize(a: int, b: int) -> Representation:
     q = a * a + a * b + b * b
     if q > U64_MAX:
         raise OverflowError(f"form value at ({a}, {b}) exceeds the 64-bit range")
-    if a < 0 <= b:
-        a, b = b, a
-    if b >= 0:
-        c, d = a, b
-    elif a < 0:
-        c, d = -a, -b
-    elif a > -b:
-        c, d = a + b, -b
-    else:
-        c, d = -(a + b), a
+    c, d = a, b
+    while c < 0 or d < 0:
+        c, d = c + d, -c
     if c < d:
         c, d = d, c
     if c * c + c * d + d * d != q:

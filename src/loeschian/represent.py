@@ -1,7 +1,6 @@
 """Deciding which integers the form a^2 + ab + b^2 attains, and finding witnesses."""
 
 from fractions import Fraction
-from itertools import chain, count
 from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple
@@ -14,8 +13,6 @@ class NotRepresentableError(ArithmeticError):
     """Raised when a value provably has no representation."""
 
 
-_ROOT_CANDIDATES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
 _REP_ONE = Representation(1, 0)
 _REP_THREE = Representation(1, 1)
 
@@ -23,19 +20,17 @@ _REP_THREE = Representation(1, 1)
 def cube_root_unity(p: int) -> int:
     """The root of z^2 + z + 1 = 0 (mod p) lying in (0, p/2), for prime p = 1 (mod 6).
 
-    Found by powering candidates x = 2, 3, 5, ... to the exponent (p-1)/3;
-    the first result w != 1 is a primitive cube root of unity, and of the
-    two roots w and p-1-w exactly one lies below p/2.
+    Powers x = 2, 3, 4, ... to the exponent (p-1)/3: the first w != 1, at the
+    least cubic non-residue, is a primitive cube root of unity. That x is below
+    p, and prime (the residues are a subgroup), so trying composites too changes
+    no result. Of the roots w and p-1-w one lies below p/2.
     """
     if not is_prime(p) or p % 6 != 1:
         raise ValueError(f"p={p} must be a prime congruent to 1 (mod 6)")
     e = (p - 1) // 3
-    for x in chain(_ROOT_CANDIDATES, count(_ROOT_CANDIDATES[-1] + 2, 2)):
-        if x % p == 0:
-            continue
-        w = pow(x, e, p)
-        if w != 1:
-            break
+    x = 2
+    while (w := pow(x, e, p)) == 1:
+        x += 1
     z = min(w, p - 1 - w)
     if (z * z + z + 1) % p != 0:
         raise RuntimeError(f"cube root search for p={p} produced a non-root {z}")
@@ -151,16 +146,11 @@ def _construct(shape: GeneralForm, n: int,
 def represent_fast(n: int) -> Representation | None:
     """One canonical representation of n without exhaustive search, or None.
 
-    Builds up from prime representations by composition, folds in the
-    power of three, and scales by the square part. Deterministic, and
-    verified by evaluate before returning.
+    The witness of is_loeschian, composed from the prime representations.
     """
     if not 1 <= n <= U64_MAX:
         raise ValueError(f"n={n} must be a positive 64-bit integer")
-    shape = general_form(n)
-    if shape is None:
-        return None
-    return _construct(shape, n)[0]
+    return is_loeschian(n).witness
 
 
 def count_formula(n: int) -> int:

@@ -117,6 +117,11 @@ def test_represent_flag_conflict(capsys):
     assert code == 2
     assert "error" in err
 
+    code, out, err = invoke(capsys, "represent", "91", "--all", "--fast", "--json")
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument --all" in err
+
 
 def test_count(capsys):
     code, out, _ = invoke(capsys, "count", "1")

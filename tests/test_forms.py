@@ -92,6 +92,13 @@ def test_canonicalize_exhaustive_small():
             rep = canonicalize(a, b)
             assert rep.a >= rep.b >= 0
             assert rep.value == a * a + a * b + b * b
+            # The 12 symmetries of the form: 6 units of Z[w], with or without
+            # the conjugate. Equal value alone would pass a pair from another
+            # orbit, as 49, 91 and 637 have more than one.
+            images = {(a, b), (b, a), (-a, -b), (-b, -a),
+                      (a + b, -b), (-b, a + b), (-a - b, b), (b, -a - b),
+                      (a + b, -a), (-a, a + b), (-a - b, a), (a, -a - b)}
+            assert tuple(rep) in images
 
 
 @given(signed, signed)

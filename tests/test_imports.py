@@ -50,20 +50,24 @@ def test_modules_use_every_name_they_import():
 
 
 def test_private_functions_have_a_caller():
-    # The package has no linter, so a private helper whose last caller left
-    # would otherwise stay behind unnoticed.
+    # The package has no linter, so a private helper or constant whose last
+    # user left would otherwise stay behind unnoticed. Only loads count as
+    # uses: the target of an assignment is an ast.Name too.
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))]
     used = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
-    private = {
-        node.name
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
-    }
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
     assert private <= used, f"no caller in the package for {sorted(private - used)}"
