@@ -46,8 +46,6 @@ EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
 EXIT_INTERNAL = 4
 
-WORKERS_ENV = "LOESCHIAN_WORKERS"
-
 
 def _u64(text: str) -> int:
     try:
@@ -74,18 +72,6 @@ def _pair(pair) -> list[str]:
 def _pair_text(pair) -> str:
     a, b = pair
     return f"[{a}, {b}]"
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value
-    return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,8 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=_u64, required=True, dest="bound",
                    help="sweep bound: hi for conjecture, limit for residues and primes, "
                         "largest pair entry for factors")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"parallel workers for conjecture (default: {WORKERS_ENV} or CPU count)")
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="parallel workers for conjecture (default: CPU count)")
     p.add_argument("--seed", type=int, default=42, help="sampling seed for factors")
     p.add_argument("--samples", type=int, default=200, help="sample count for factors")
 
@@ -256,9 +242,8 @@ def _cmd_factor(args):
 
 
 def _cmd_verify(args):
-    workers = args.workers if args.workers is not None else _default_workers()
     if args.kind == "conjecture":
-        report = verify_conjecture(SweepRange(1, args.bound, workers))
+        report = verify_conjecture(SweepRange(1, args.bound, args.workers))
     elif args.kind == "residues":
         report = verify_residues(args.bound)
     elif args.kind == "primes":

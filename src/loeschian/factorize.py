@@ -5,7 +5,7 @@ from math import gcd, isqrt
 from random import Random
 from typing import NamedTuple
 
-from .forms import U64_MAX
+from .forms import _require_positive_u64, _require_u64
 
 # Witness set proven complete for every n below 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -29,8 +29,7 @@ _TRIAL_COVERED = 1009 * 1009  # anything below this is fully split by trial divi
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact over the whole 64-bit range."""
-    if not 0 <= n <= U64_MAX:
-        raise ValueError(f"n={n} is outside the supported unsigned 64-bit range")
+    _require_u64("n", n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -106,8 +105,7 @@ def factor(n: int, seed: int = RHO_SEED) -> list[tuple[int, int]]:
 
     factor(1) is the empty list. Output is deterministic for a fixed seed.
     """
-    if not 1 <= n <= U64_MAX:
-        raise ValueError(f"n={n} must be a positive 64-bit integer")
+    _require_positive_u64("n", n)
     counts: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -156,8 +154,6 @@ class GeneralForm(NamedTuple):
 
 def general_form(n: int, seed: int = RHO_SEED) -> GeneralForm | None:
     """Split n into the representable shape, or None when a residual prime has odd exponent."""
-    if not 1 <= n <= U64_MAX:
-        raise ValueError(f"n={n} must be a positive 64-bit integer")
     shape = _general_form_from(factor(n, seed))
     return shape if isinstance(shape, GeneralForm) else None
 

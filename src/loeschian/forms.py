@@ -35,6 +35,16 @@ def _require_u64(name: str, value: int) -> None:
         raise ValueError(f"{name}={value} is outside the supported unsigned 64-bit range")
 
 
+def _require_positive_u64(name: str, value: int) -> None:
+    if not 1 <= value <= U64_MAX:
+        raise ValueError(f"{name}={value} must be a positive 64-bit integer")
+
+
+def _require_entries(a: int, b: int, c: int, d: int) -> None:
+    for name, value in (("a", a), ("b", b), ("c", c), ("d", d)):
+        _require_u64(name, value)
+
+
 def evaluate(a: int, b: int) -> int:
     """Value of a^2 + ab + b^2 at a nonnegative pair."""
     _require_u64("a", a)
@@ -84,8 +94,7 @@ def solve_b(n: int, a: int) -> int | None:
     Solves the quadratic in b; a solution needs 4n - 3a^2 to be a perfect
     square and the root -a + sqrt(4n - 3a^2) to be even and nonnegative.
     """
-    if not 1 <= n <= U64_MAX:
-        raise ValueError(f"n={n} must be a positive 64-bit integer")
+    _require_positive_u64("n", n)
     _require_u64("a", a)
     disc = 4 * n - 3 * a * a
     if disc < 0:
@@ -110,10 +119,9 @@ def check_identities(a: int, b: int, c: int, d: int) -> bool:
     c^2 (a^2+ab+b^2) - a^2 (c^2+cd+d^2) = (bc+ad+ac)(bc-ad).
     They hold for all integers; this evaluates both sides exactly.
     """
-    # One chained test on the valid path; _require_u64 names the bad entry.
+    # One chained test on the valid path; _require_entries names the bad entry.
     if not (0 <= a <= U64_MAX and 0 <= b <= U64_MAX and 0 <= c <= U64_MAX and 0 <= d <= U64_MAX):
-        for name, value in (("a", a), ("b", b), ("c", c), ("d", d)):
-            _require_u64(name, value)
+        _require_entries(a, b, c, d)
     qab = a * a + a * b + b * b
     qcd = c * c + c * d + d * d
     ad = a * d
@@ -154,8 +162,11 @@ def compose(r1: Representation, r2: Representation, variant: int = 1) -> Represe
     if x < y:
         x, y = y, x
     # x >= y >= 0, so the value is at most 3x^2 and only x >= 2^31 can overflow.
-    if x >> 31 and x * x + x * y + y * y > U64_MAX:
-        raise OverflowError("product of the two form values exceeds the 64-bit range")
+    # An entry beyond 64 bits ends up here too: as a zero product or an overflow.
+    if not x or x >> 31 and x * x + x * y + y * y > U64_MAX:
+        _require_entries(*r1, *r2)
+        if x:
+            raise OverflowError("product of the two form values exceeds the 64-bit range")
     return _new_pair(Representation, (x, y))
 
 
@@ -185,8 +196,11 @@ def compose_minus(r1: Representation, r2: Representation, variant: int) -> tuple
     else:
         x, y = y, -x
     # x, y >= 0, so the value is at most max(x, y)^2 and only 2^32 or more can overflow.
-    if (x | y) >> 32 and x * x - x * y + y * y > U64_MAX:
-        raise OverflowError("product of the two form values exceeds the 64-bit range")
+    # An entry beyond 64 bits ends up here too: as a zero product or an overflow.
+    if not (x or y) or (x | y) >> 32 and x * x - x * y + y * y > U64_MAX:
+        _require_entries(*r1, *r2)
+        if x or y:
+            raise OverflowError("product of the two form values exceeds the 64-bit range")
     return x, y
 
 

@@ -6,7 +6,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .factorize import GeneralForm, factor, general_form, is_prime, _general_form_from
-from .forms import Representation, U64_MAX, canonicalize, compose, evaluate
+from .forms import (Representation, U64_MAX, _require_positive_u64, _require_u64,
+                    canonicalize, compose, evaluate)
 
 
 class NotRepresentableError(ArithmeticError):
@@ -80,8 +81,7 @@ def enumerate_reps(n: int) -> list[Representation]:
     over p; times the power of 1 - w and the scale. This costs one factor call
     plus a few compositions per representation, not an O(sqrt n) scan.
     """
-    if not 0 <= n <= U64_MAX:
-        raise ValueError(f"n={n} is outside the supported unsigned 64-bit range")
+    _require_u64("n", n)
     if n == 0:
         return [Representation(0, 0)]
     shape = general_form(n)
@@ -108,8 +108,7 @@ def is_loeschian(n: int) -> Verdict:
     n is representable exactly when every prime factor that is 2 or
     5 (mod 6) occurs to an even power.
     """
-    if not 0 <= n <= U64_MAX:
-        raise ValueError(f"n={n} is outside the supported unsigned 64-bit range")
+    _require_u64("n", n)
     if n == 0:
         return Verdict(True, witness=Representation(0, 0))
     shape = _general_form_from(factor(n))
@@ -148,8 +147,7 @@ def represent_fast(n: int) -> Representation | None:
 
     The witness of is_loeschian, composed from the prime representations.
     """
-    if not 1 <= n <= U64_MAX:
-        raise ValueError(f"n={n} must be a positive 64-bit integer")
+    _require_positive_u64("n", n)
     return is_loeschian(n).witness
 
 
@@ -160,8 +158,6 @@ def count_formula(n: int) -> int:
     e_i are even, half of prod(e_i + 1) otherwise; 0 when n is not
     representable at all.
     """
-    if not 1 <= n <= U64_MAX:
-        raise ValueError(f"n={n} must be a positive 64-bit integer")
     shape = general_form(n)
     if shape is None:
         return 0
@@ -176,16 +172,12 @@ def count_formula(n: int) -> int:
 
 def divide_by_square(n: int, k: int) -> Representation:
     """Representation of n / k^2, given representable n with k^2 dividing n."""
-    if not 0 <= n <= U64_MAX:
-        raise ValueError(f"n={n} is outside the supported unsigned 64-bit range")
-    if not 1 <= k <= U64_MAX:
-        raise ValueError(f"k={k} must be a positive 64-bit integer")
+    _require_u64("n", n)
+    _require_positive_u64("k", k)
     quotient, rest = divmod(n, k * k)
     if rest:
         raise ValueError(f"{k}^2 does not divide {n}")
-    if quotient == 0:
-        return Representation(0, 0)
-    rep = represent_fast(quotient)
+    rep = is_loeschian(quotient).witness
     if rep is None:
         raise RuntimeError(
             f"quotient {quotient} = {n}/{k}^2 is not representable; {n} cannot have been"
@@ -198,7 +190,7 @@ def rational_lift(alpha: Fraction, beta: Fraction) -> tuple[int, Representation]
 
     For nonnegative rationals with a^2 + ab + b^2 an integer n, n is a value
     of the form over the rationals and hence over the integers; the witness
-    is the one represent_fast builds for n.
+    is the one is_loeschian builds for n.
     """
     if alpha < 0 or beta < 0:
         raise ValueError(f"rational pair ({alpha}, {beta}) must be nonnegative")
@@ -211,9 +203,7 @@ def rational_lift(alpha: Fraction, beta: Fraction) -> tuple[int, Representation]
     n = value.numerator
     if n > U64_MAX:
         raise OverflowError(f"form value {n} exceeds the 64-bit range")
-    if n == 0:
-        return n, Representation(0, 0)
-    rep = represent_fast(n)
+    rep = is_loeschian(n).witness
     if rep is None:
         raise RuntimeError(f"form value {n} of a rational point is not representable")
     return n, rep

@@ -16,7 +16,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from .factorize import PrimeClass, _sieve, classify_prime, factor
-from .forms import U64_MAX, evaluate
+from .forms import U64_MAX, _require_u64, evaluate
 from .represent import NotRepresentableError, count_formula, is_loeschian, represent_prime
 
 MAX_MISMATCHES = 1000
@@ -252,7 +252,6 @@ def emit_sequence(limit: int) -> list[int]:
 
     The values with a nonzero lattice count, segment by segment over [0, limit].
     """
-    if not 0 <= limit <= U64_MAX:
-        raise ValueError(f"limit={limit} is outside the supported unsigned 64-bit range")
+    _require_u64("limit", limit)
     return [n for segment in _segments(0, limit)
             for n in compress(segment, _window_counts(segment[0], segment[-1]))]

@@ -285,11 +285,13 @@ def test_verify_factors_records_sampling(capsys):
     assert doc["checked"] == "10"
 
 
-def test_verify_worker_default_comes_from_environment(capsys, monkeypatch):
+def test_verify_worker_default_is_cpu_count(capsys, monkeypatch):
+    # The CPU count alone sets the default; no environment variable overrides it.
     monkeypatch.setenv("LOESCHIAN_WORKERS", "3")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
     code, doc = invoke_json(capsys, "verify", "conjecture", "--max", "50", "--json")
     assert code == 0
-    assert doc["workers"] == 3
+    assert doc["workers"] == 5
 
     code, doc = invoke_json(
         capsys, "verify", "conjecture", "--max", "50", "--workers", "2", "--json"

@@ -10,8 +10,17 @@ from loeschian import (
     compose_minus,
     convert_minus_to_plus,
     convert_plus_to_minus,
+    count_formula,
+    divide_by_square,
+    emit_sequence,
+    enumerate_reps,
     evaluate,
     evaluate_minus,
+    factor,
+    general_form,
+    is_loeschian,
+    is_prime,
+    represent_fast,
     solve_b,
 )
 
@@ -195,6 +204,14 @@ def test_compose_rejects_bad_input():
         compose(Representation(2, 1), Representation(2, 1), 3)
     with pytest.raises(OverflowError):
         compose(Representation(ENTRY_MAX, ENTRY_MAX), Representation(2, 1), 1)
+    # An entry beyond 64 bits is a range error, whether the product is zero or not.
+    too_big = f"a={U64_MAX + 1} is outside the supported unsigned 64-bit range"
+    for partner in (Representation(0, 0), Representation(1, 0), Representation(2, 1)):
+        for variant in (1, 2):
+            with pytest.raises(ValueError, match=f"^{too_big}$"):
+                compose(Representation(U64_MAX + 1, 5), partner, variant)
+    with pytest.raises(ValueError, match=f"^c={2**70} is outside"):
+        compose(Representation(0, 0), Representation(2**70, 0), 2)
 
 
 @given(canonical_pairs(50), canonical_pairs(50), st.sampled_from((1, 2)))
@@ -231,6 +248,11 @@ def test_compose_minus_rejects_bad_variant():
         compose_minus(Representation(1, 0), Representation(1, 0), 2)
     with pytest.raises(ValueError):
         compose_minus(Representation(1, 0), Representation(1, 0), 7)
+    too_big = f"c={U64_MAX + 1} is outside the supported unsigned 64-bit range"
+    for partner in (Representation(0, 0), Representation(1, 0), Representation(2, 1)):
+        for variant in (3, 4, 5, 6):
+            with pytest.raises(ValueError, match=f"^{too_big}$"):
+                compose_minus(partner, Representation(U64_MAX + 1, 5), variant)
 
 
 @given(canonical_pairs(50), canonical_pairs(50), st.sampled_from((3, 4, 5, 6)))
@@ -269,3 +291,32 @@ def test_convert_round_trip(rep):
     for x, y in (first, second):
         assert x * x - x * y + y * y == rep.value
         assert convert_minus_to_plus(x, y) == rep
+
+
+OUTSIDE = "{name}={value} is outside the supported unsigned 64-bit range"
+NOT_POSITIVE = "{name}={value} must be a positive 64-bit integer"
+
+
+@pytest.mark.parametrize("value", [-1, 0, 2**64])
+@pytest.mark.parametrize("call, name, template", [
+    pytest.param(is_prime, "n", OUTSIDE, id="is_prime"),
+    pytest.param(is_loeschian, "n", OUTSIDE, id="is_loeschian"),
+    pytest.param(enumerate_reps, "n", OUTSIDE, id="enumerate_reps"),
+    pytest.param(emit_sequence, "limit", OUTSIDE, id="emit_sequence"),
+    pytest.param(lambda n: divide_by_square(n, 1), "n", OUTSIDE, id="divide_by_square-n"),
+    pytest.param(factor, "n", NOT_POSITIVE, id="factor"),
+    pytest.param(general_form, "n", NOT_POSITIVE, id="general_form"),
+    pytest.param(count_formula, "n", NOT_POSITIVE, id="count_formula"),
+    pytest.param(represent_fast, "n", NOT_POSITIVE, id="represent_fast"),
+    pytest.param(lambda n: solve_b(n, 0), "n", NOT_POSITIVE, id="solve_b"),
+    pytest.param(lambda k: divide_by_square(0, k), "k", NOT_POSITIVE, id="divide_by_square-k"),
+])
+def test_range_errors_name_the_input(call, name, template, value):
+    # Every public function words a bad 64-bit input the same way, class and text.
+    if value == 0 and template is OUTSIDE:
+        call(value)
+        return
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError
+    assert str(info.value) == template.format(name=name, value=value)

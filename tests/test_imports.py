@@ -71,3 +71,22 @@ def test_private_functions_have_a_caller():
                 defined.update(t.id for t in targets if isinstance(t, ast.Name))
     private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
     assert private <= used, f"no caller in the package for {sorted(private - used)}"
+
+
+def test_only_forms_words_the_64_bit_input_contract():
+    # forms._require_u64 and forms._require_positive_u64 hold the two range
+    # error texts; every other module calls them rather than spelling a copy.
+    templates = ("is outside the supported unsigned 64-bit range",
+                 "must be a positive 64-bit integer")
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "forms.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        spelled = {
+            text
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for text in templates
+            if text in node.value
+        }
+        assert not spelled, f"{path.name} spells {sorted(spelled)} itself"
