@@ -1,6 +1,9 @@
 """Deterministic primality, factorization, and prime classification for 64-bit inputs."""
 
+from bisect import bisect
+from collections.abc import Iterator
 from enum import Enum
+from itertools import compress
 from math import gcd, isqrt
 from random import Random
 from typing import NamedTuple
@@ -10,8 +13,20 @@ from .forms import _require_positive_u64, _require_u64
 # Witness set proven complete for every n below 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# psi_k of OEIS A014233, k = 1..11: the smallest strong pseudoprime to the
+# first k bases (Jaeschke, Math. Comp. 61, 1993), so below psi_k the first k
+# bases decide. psi_9 = psi_10 = psi_11 stays listed three times, so that
+# bisect sends that number on to all twelve bases.
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051)
+
 # Default seed for the rho stage; factor() accepts an override.
 RHO_SEED = 0x10E5C41A
+
+# Values factored together by _window_factors. The factor lists cost about
+# 300 B per n, so blocks keep the peak flat in the width of the window.
+_BLOCK = 256
 
 
 def _sieve(limit: int) -> tuple[int, ...]:
@@ -20,7 +35,39 @@ def _sieve(limit: int) -> tuple[int, ...]:
     for p in range(2, int(limit**0.5) + 1):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-    return tuple(i for i in range(limit + 1) if flags[i])
+    return tuple(compress(range(limit + 1), flags))
+
+
+def _window_factors(lo: int, hi: int) -> Iterator[list[tuple[int, int]]]:
+    """factor(n) for each n in [lo, hi] in turn, from a segmented sieve; needs lo >= 1.
+
+    Block by block of _BLOCK values, each prime p up to the square root of hi
+    visits its multiples there and divides out its exponent, in ascending p.
+    What is left above 1 then has no prime factor up to that root, so it is
+    one more prime, larger than every one before it.
+    """
+    primes = _sieve(isqrt(hi))
+    for start in range(lo, hi + 1, _BLOCK):
+        stop = min(start + _BLOCK, hi + 1)
+        rest = list(range(start, stop))
+        factors: list[list[tuple[int, int]]] = [[] for _ in rest]
+        for p in primes:
+            once = (p, 1)  # one tuple for every n that p divides exactly once
+            for i in range(-start % p, len(rest), p):
+                m = rest[i] // p
+                if m % p:
+                    factors[i].append(once)
+                else:
+                    e = 1
+                    while not m % p:
+                        m //= p
+                        e += 1
+                    factors[i].append((p, e))
+                rest[i] = m
+        for m, f in zip(rest, factors):
+            if m > 1:
+                f.append((m, 1))
+        yield from factors
 
 
 _TRIAL_PRIMES = _sieve(1000)
@@ -40,7 +87,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -158,8 +158,12 @@ def count_formula(n: int) -> int:
     e_i are even, half of prod(e_i + 1) otherwise; 0 when n is not
     representable at all.
     """
-    shape = general_form(n)
-    if shape is None:
+    return _count(_general_form_from(factor(n)))
+
+
+def _count(shape: GeneralForm | tuple[int, int]) -> int:
+    """The count_formula rule on a _general_form_from result; an obstruction counts 0."""
+    if not isinstance(shape, GeneralForm):
         return 0
     product = 1
     all_even = True

@@ -15,9 +15,11 @@ from random import Random
 from time import perf_counter
 from typing import NamedTuple
 
-from .factorize import PrimeClass, _sieve, classify_prime, factor
+from .factorize import (PrimeClass, _general_form_from, _sieve, _window_factors, classify_prime,
+                        factor)
 from .forms import U64_MAX, _require_u64, evaluate
-from .represent import NotRepresentableError, count_formula, is_loeschian, represent_prime
+from .represent import (NotRepresentableError, _count, count_formula, is_loeschian,
+                        represent_prime)
 
 MAX_MISMATCHES = 1000
 CONJECTURE_LIMIT = 10**8
@@ -112,19 +114,23 @@ def _segments(lo: int, hi: int) -> Iterator[range]:
 
 
 def _conjecture_part(segment: range) -> list[tuple[int, int, int]]:
-    counts = _window_counts(segment[0], segment[-1])
-    return [(n, expected, actual) for n, actual in zip(segment, counts)
-            if (expected := count_formula(n)) != actual]
+    lo, hi = segment[0], segment[-1]
+    return [(n, expected, actual)
+            for n, factors, actual in zip(segment, _window_factors(lo, hi), _window_counts(lo, hi))
+            if (expected := _count(_general_form_from(factors))) != actual]
 
 
 def verify_conjecture(sweep: SweepRange) -> VerificationReport:
     """Compare the counting formula with exhaustive enumeration over [lo, hi].
 
     The range is cut into contiguous segments, each counted by one lattice
-    pass. A process pool starts only when there is more than one segment,
-    with at most one process per segment and per CPU; the report still echoes
-    sweep.workers. Segments come back in ascending order of n, so the report
-    content is identical for any worker count.
+    pass. The formula side of a segment comes from a block-wise segmented
+    sieve, whose factor lists go through the library's own _general_form_from
+    and counting rule, so no n pays for a factor call. A process pool starts
+    only when there is more than one segment, with at most one process per
+    segment and per CPU; the report still echoes sweep.workers. Segments come
+    back in ascending order of n, so the report content is identical for any
+    worker count.
     """
     if sweep.hi > CONJECTURE_LIMIT:
         raise ValueError(f"hi={sweep.hi} exceeds the sweep guard {CONJECTURE_LIMIT}")
@@ -142,9 +148,17 @@ def verify_conjecture(sweep: SweepRange) -> VerificationReport:
 
 
 def verify_residues(limit: int) -> VerificationReport:
-    """Every value over 0 <= b <= a <= limit must be 0, 1, 3, or 4 (mod 6)."""
+    """Every value over 0 <= b <= a <= limit must be 0, 1, 3, or 4 (mod 6).
+
+    The pairs to check number (limit + 1)(limit + 2)/2, which may not pass
+    CONJECTURE_LIMIT: limit 14140 is the largest accepted.
+    """
     if not 1 <= limit <= _ENTRY_LIMIT:
         raise ValueError(f"limit={limit} must be positive and keep values within 64 bits")
+    checked = (limit + 1) * (limit + 2) // 2
+    if checked > CONJECTURE_LIMIT:
+        raise ValueError(f"limit={limit} gives {checked} pairs, past the sweep guard "
+                         f"{CONJECTURE_LIMIT}")
 
     def mismatches():
         for a in range(limit + 1):
@@ -155,7 +169,6 @@ def verify_residues(limit: int) -> VerificationReport:
                     yield (value, "residue 0, 1, 3, or 4 (mod 6)",
                            f"residue {value % 6} at pair ({a}, {b})")
 
-    checked = (limit + 1) * (limit + 2) // 2
     return _report(SweepRange(1, limit, 1), checked, mismatches(), perf_counter())
 
 

@@ -264,6 +264,15 @@ def test_verify_residues_json(capsys):
     assert isinstance(doc["elapsed_ms"], float)
 
 
+def test_verify_residues_refuses_a_limit_past_the_guard(capsys):
+    code, out, err = invoke(capsys, "verify", "residues", "--max", "14141")
+    assert (code, out) == (2, "")
+    assert err == "error: limit=14141 gives 100005153 pairs, past the sweep guard 100000000\n"
+    code, out, err = invoke(capsys, "verify", "residues", "--max", "100000001", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: limit=100000001 gives ")
+
+
 def test_verify_conjecture_and_primes(capsys):
     code, out, _ = invoke(capsys, "verify", "conjecture", "--max", "500", "--workers", "1")
     assert code == 0

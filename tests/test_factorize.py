@@ -17,7 +17,15 @@ from loeschian import (
     is_loeschian,
     is_prime,
 )
+from loeschian.factorize import _BLOCK, _window_factors
+from loeschian.verify import CONJECTURE_LIMIT, _SEGMENT
 from oracles import factor_with_table, sieve_primes, smallest_factor_table
+
+# The distinct psi_k of OEIS A014233 below 2^64: psi_k is the smallest strong
+# pseudoprime to each of the first k prime bases (psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11 appear once; psi_12 is past 2^64).
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051)
 
 
 def test_is_prime_known_values():
@@ -51,6 +59,49 @@ def test_is_prime_matches_sympy_on_large_values():
     probes += [U64_MAX, U64_MAX - 1, 2**63 - 25, 2**61 - 1, 3825123056546413051]
     for n in probes:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_at_the_base_tier_edges():
+    # is_prime runs fewer bases below each psi_k, and psi_k itself is the first
+    # composite that the tier below it would pass.
+    for psi in PSI:
+        assert not is_prime(psi), psi
+        assert is_prime(sympy.nextprime(psi)), psi
+
+
+def test_is_prime_matches_sympy_in_each_base_tier():
+    rng = Random(1993)
+    edges = (2,) + PSI + (2**64,)
+    for lo, hi in zip(edges, edges[1:]):
+        for _ in range(50):
+            n = rng.randrange(lo, hi)
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+def _factor_lists(lo, hi):
+    return [factor(n) for n in range(lo, hi + 1)]
+
+
+def test_window_factors_match_factor():
+    # One-wide windows at 1 and at prime squares; windows across a block and a
+    # sweep segment boundary; seeded 200-wide windows up to the sweep guard.
+    rng = Random(29)
+    windows = [(1, 3000)]
+    windows += [(n, n) for n in (1, 4, 9, 25, 49, 1009**2, 9973**2)]
+    windows += [(_BLOCK - 2, _BLOCK + 2), (5 * _BLOCK - 40, 7 * _BLOCK + 40),
+                (_SEGMENT - 300, _SEGMENT + 300), (CONJECTURE_LIMIT - 199, CONJECTURE_LIMIT)]
+    for _ in range(4):
+        hi = CONJECTURE_LIMIT - rng.randrange(10**6)
+        windows.append((hi - 199, hi))
+    for lo, hi in windows:
+        assert list(_window_factors(lo, hi)) == _factor_lists(lo, hi), (lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=CONJECTURE_LIMIT - 2 * _BLOCK),
+       st.integers(min_value=0, max_value=2 * _BLOCK))
+def test_window_factors_match_factor_on_drawn_windows(lo, width):
+    assert list(_window_factors(lo, lo + width)) == _factor_lists(lo, lo + width)
 
 
 def test_factor_known_values():

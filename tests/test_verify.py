@@ -83,6 +83,13 @@ def test_verify_conjecture_guard():
         verify_conjecture(SweepRange(1, 10**8 + 1))
 
 
+def test_verify_conjecture_sweeps_a_full_segment_at_the_guard():
+    hi = verify_mod.CONJECTURE_LIMIT
+    report = verify_conjecture(SweepRange(hi - _SEGMENT + 1, hi))
+    assert report.ok, report.mismatches[:5]
+    assert report.checked == _SEGMENT
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Swap in a pool that records max_workers and maps in-process, starting no process."""
@@ -107,16 +114,22 @@ def pool_sizes(monkeypatch):
 
 def test_verify_conjecture_worker_count_does_not_change_content(monkeypatch, pool_sizes):
     monkeypatch.setattr(verify_mod, "_SEGMENT", 1000)
-    count_formula = verify_mod.count_formula
-    monkeypatch.setattr(verify_mod, "count_formula",
-                        lambda n: count_formula(n) + (n % 7 == 0))
+    window_counts = verify_mod._window_counts
+
+    def one_more_at_multiples_of_seven(lo, hi):
+        counts = window_counts(lo, hi)
+        for n in range(-(-lo // 7) * 7, hi + 1, 7):
+            counts[n - lo] += 1
+        return counts
+
+    monkeypatch.setattr(verify_mod, "_window_counts", one_more_at_multiples_of_seven)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     reports = [verify_conjecture(SweepRange(1, 10000, w)) for w in (1, 2, 3)]
     assert pool_sizes == [2, 3]
     first = reports[0].mismatches
     assert len(first) == MAX_MISMATCHES
     assert [m.n for m in first] == list(range(7, 7 * MAX_MISMATCHES + 1, 7))
-    assert first[0] == verify_mod.Mismatch(7, "2", "1")
+    assert first[0] == verify_mod.Mismatch(7, "1", "2")
     for report in reports:
         assert report.checked == 10000
         assert report.mismatches == first
@@ -158,6 +171,21 @@ def test_verify_residues_rejects_zero():
     # the report range starts at 1, so a limit of 0 has nothing to sweep
     with pytest.raises(ValueError):
         verify_residues(0)
+
+
+def test_verify_residues_guards_its_pair_count(monkeypatch):
+    # (limit + 1)(limit + 2)/2 pairs may not pass the guard: 14140 gives
+    # 99,991,011 and 14141 gives 100,005,153. Checking the accepted edge takes
+    # seconds, so the pair loop is stubbed out there.
+    with pytest.raises(ValueError, match="^limit=14141 gives 100005153 pairs, "
+                                         "past the sweep guard 100000000$"):
+        verify_residues(14141)
+    for limit in (10**8 + 1, U64_MAX):
+        with pytest.raises(ValueError):
+            verify_residues(limit)
+    monkeypatch.setattr(verify_mod, "_report",
+                        lambda sweep, checked, found, start: (sweep, checked))
+    assert verify_residues(14140) == (SweepRange(1, 14140), 99991011)
 
 
 def test_mismatches_are_capped(monkeypatch):
