@@ -28,6 +28,11 @@ def cube_root_unity(p: int) -> int:
     """
     if not is_prime(p) or p % 6 != 1:
         raise ValueError(f"p={p} must be a prime congruent to 1 (mod 6)")
+    return _cube_root(p)
+
+
+def _cube_root(p: int) -> int:
+    """cube_root_unity for a p already known to be a prime 1 (mod 6)."""
     e = (p - 1) // 3
     x = 2
     while (w := pow(x, e, p)) == 1:
@@ -53,13 +58,11 @@ def represent_prime(p: int) -> Representation:
         return _REP_THREE
     if p % 6 != 1:
         raise NotRepresentableError(f"prime {p} is {p % 6} (mod 6) and has no representation")
-    z = cube_root_unity(p)
-    r = 2 * z + 1  # r^2 = -3 (mod p)
+    r = 2 * _cube_root(p) + 1  # r^2 = -3 (mod p)
     target = 4 * p
-    a, b = 2 * p, r
-    while b * b > target:
-        a, b = b, a % b
-    u = b
+    a, u = 2 * p, r
+    while u * u > target:
+        a, u = u, a % u
     v2, residue = divmod(target - u * u, 3)
     if residue:
         raise RuntimeError(f"descent for p={p} left 4p - u^2 not divisible by 3")

@@ -15,11 +15,9 @@ from random import Random
 from time import perf_counter
 from typing import NamedTuple
 
-from .factorize import (PrimeClass, _general_form_from, _sieve, _window_factors, classify_prime,
-                        factor)
+from .factorize import GeneralForm, _general_form_from, _sieve, _window_factors, factor
 from .forms import U64_MAX, _require_u64, evaluate
-from .represent import (NotRepresentableError, _count, count_formula, is_loeschian,
-                        represent_prime)
+from .represent import NotRepresentableError, _count, represent_prime
 
 MAX_MISMATCHES = 1000
 CONJECTURE_LIMIT = 10**8
@@ -175,10 +173,10 @@ def verify_residues(limit: int) -> VerificationReport:
 def verify_prime_theorems(limit: int) -> VerificationReport:
     """Check classification, counting, and construction on every prime <= limit.
 
-    The counts come from one lattice window over [0, limit]. Primes that are
-    3 or 1 (mod 6) must have exactly one representation, and represent_prime
-    must return a canonical pair of value p, which is then the only one;
-    residual primes must have none and represent_prime must refuse.
+    The counts come from one lattice window over [0, limit], the predictions
+    from the shape rule on p^1. A prime predicted 0 is residual: it must have no
+    representation and represent_prime must refuse. Any other prime must have
+    exactly one, a canonical pair of value p that represent_prime returns.
     """
     if limit < 2:
         raise ValueError(f"limit={limit} must be at least 2")
@@ -191,36 +189,35 @@ def verify_prime_theorems(limit: int) -> VerificationReport:
     def mismatches():
         for p in primes:
             count = counts[p]
-            predicted = count_formula(p)
+            predicted = _count(_general_form_from([(p, 1)]))
             if count != predicted:
                 yield p, f"count formula {predicted}", f"{count} enumerated"
-            if classify_prime(p) is PrimeClass.RESIDUAL:
+            try:
+                rep = represent_prime(p)
+            except NotRepresentableError:
+                rep = None
+            if not predicted:
                 if count:
                     yield p, "no representations for a residual prime", f"{count} enumerated"
-                try:
-                    rep = represent_prime(p)
+                if rep is not None:
                     yield p, "refusal for a residual prime", f"returned {rep}"
-                except NotRepresentableError:
-                    pass
             else:
                 if count != 1:
                     yield p, "exactly one representation", f"{count} enumerated"
-                try:
-                    rep = represent_prime(p)
-                    if not (0 <= rep.b <= rep.a and evaluate(*rep) == p):
-                        yield p, f"a canonical pair of value {p}", f"constructed {rep}"
-                except NotRepresentableError:
+                if rep is None:
                     yield p, "a constructed representation", "refusal"
+                elif not (0 <= rep.b <= rep.a and evaluate(*rep) == p):
+                    yield p, f"a canonical pair of value {p}", f"constructed {rep}"
 
     return _report(SweepRange(1, limit, 1), len(primes), mismatches(), start)
 
 
-def _divisors(factors: list[tuple[int, int]]) -> list[int]:
-    out = [1]
+def _divisors(factors: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Every divisor d of the factored number, ascending, each with its own factor list."""
+    out = [(1, [])]
     for p, e in factors:
-        powers = [p**k for k in range(1, e + 1)]
-        out += [d * q for d in out for q in powers]
-    return sorted(out)
+        out += [(d * p**k, own + [(p, k)]) for d, own in out for k in range(1, e + 1)]
+    return sorted(out)  # the d are distinct, so no two lists are compared
 
 
 def verify_factor_theorem(pair_bound: int, samples: int, seed: int) -> VerificationReport:
@@ -245,15 +242,15 @@ def verify_factor_theorem(pair_bound: int, samples: int, seed: int) -> Verificat
                     break
             a, b = (x, y) if x >= y else (y, x)
             value = evaluate(a, b)
-            for d in _divisors(factor(value)):
-                verdict = is_loeschian(d)
-                if verdict.representable:
+            factors = factor(value)
+            for d, own in _divisors(factors):
+                if isinstance(shape := _general_form_from(own), GeneralForm):
                     continue
-                p, e = verdict.obstruction
+                p, e = shape
                 yield (d, f"divisor of ({a}, {b}) value {value} representable",
                        f"prime {p} has odd exponent {e}")
-                cofactor_clean = all(q == 3 or q % 6 == 1 for q, _ in factor(value // d))
-                if cofactor_clean:
+                # The cofactor takes every prime whose whole power is not in d.
+                if all(q == 3 or q % 6 == 1 for q, k in factors if (q, k) not in own):
                     yield (d, f"representability forced by the clean cofactor {value // d}",
                            f"prime {p} has odd exponent {e}")
 

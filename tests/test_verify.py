@@ -5,19 +5,21 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loeschian.represent as represent_mod
 import loeschian.verify as verify_mod
 from loeschian import (
     U64_MAX,
     Representation,
     SweepRange,
     emit_sequence,
+    factor,
     is_loeschian,
     verify_conjecture,
     verify_factor_theorem,
     verify_prime_theorems,
     verify_residues,
 )
-from loeschian.verify import MAX_MISMATCHES, _SEGMENT, _window_counts
+from loeschian.verify import MAX_MISMATCHES, _SEGMENT, _divisors, _window_counts
 from oracles import brute_sequence, scan_reps
 
 
@@ -233,6 +235,37 @@ def test_verify_prime_theorems_requires_a_canonical_construction(monkeypatch):
         7, "a canonical pair of value 7", "constructed Representation(a=1, b=2)")]
 
 
+def test_verify_prime_theorems_reports_both_refusal_branches(monkeypatch):
+    represent_prime = verify_mod.represent_prime
+
+    def refuses_seven_and_represents_five(p):
+        if p == 7:
+            raise verify_mod.NotRepresentableError("refused")
+        return Representation(2, 1) if p == 5 else represent_prime(p)
+
+    monkeypatch.setattr(verify_mod, "represent_prime", refuses_seven_and_represents_five)
+    assert verify_prime_theorems(20).mismatches == [
+        verify_mod.Mismatch(5, "refusal for a residual prime", "returned Representation(a=2, b=1)"),
+        verify_mod.Mismatch(7, "a constructed representation", "refusal"),
+    ]
+
+
+def test_verify_prime_theorems_tests_each_prime_once(monkeypatch):
+    # The sieve already knows every p is prime; represent_prime's own check is the only one.
+    calls = 0
+    is_prime = represent_mod.is_prime
+
+    def counting_is_prime(n):
+        nonlocal calls
+        calls += 1
+        return is_prime(n)
+
+    monkeypatch.setattr(represent_mod, "is_prime", counting_is_prime)
+    report = verify_prime_theorems(1000)
+    assert report.ok
+    assert calls == report.checked == 168
+
+
 def test_prime_theorems_hold_by_exhaustive_search_below_ten_to_the_sixth():
     # enumerate_reps builds a prime's representation with represent_prime, so
     # comparing the two shows nothing; this sweep counts from the lattice window
@@ -268,6 +301,37 @@ def test_verify_factor_theorem_is_reproducible():
     second = verify_factor_theorem(40, 25, 1234)
     assert first.checked == second.checked
     assert first.mismatches == second.mismatches
+
+
+def test_verify_factor_theorem_reports_a_bad_divisor_and_its_clean_cofactor(monkeypatch):
+    # Ten times the value of the pair (2, 1) is 70 = 2 * 5 * 7: every divisor with
+    # 2 or 5 to an odd power fails, and those that take both 2 and 5 leave a
+    # cofactor of primes 1 (mod 6) only, which forces a second mismatch.
+    evaluate = verify_mod.evaluate
+    monkeypatch.setattr(verify_mod, "evaluate", lambda a, b: 10 * evaluate(a, b))
+    divisor = "divisor of (2, 1) value 70 representable"
+    two, five = "prime 2 has odd exponent 1", "prime 5 has odd exponent 1"
+    report = verify_factor_theorem(2, 1, 0)
+    assert report.checked == 1
+    assert report.mismatches == [
+        verify_mod.Mismatch(2, divisor, two),
+        verify_mod.Mismatch(5, divisor, five),
+        verify_mod.Mismatch(10, divisor, two),
+        verify_mod.Mismatch(10, "representability forced by the clean cofactor 7", two),
+        verify_mod.Mismatch(14, divisor, two),
+        verify_mod.Mismatch(35, divisor, five),
+        verify_mod.Mismatch(70, divisor, two),
+        verify_mod.Mismatch(70, "representability forced by the clean cofactor 1", two),
+    ]
+
+
+def test_divisors_carry_their_own_factorizations():
+    for n in range(1, 2001):
+        pairs = _divisors(factor(n))
+        # Equal to the ascending list of divisors: the order and the set at once.
+        assert [d for d, _ in pairs] == [d for d in range(1, n + 1) if n % d == 0]
+        for d, own in pairs:
+            assert own == factor(d), (n, d)
 
 
 def test_verify_factor_theorem_rejects_bad_input():
