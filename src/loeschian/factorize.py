@@ -4,7 +4,7 @@ from bisect import bisect
 from collections.abc import Iterator
 from enum import Enum
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from random import Random
 from typing import NamedTuple
 
@@ -12,6 +12,7 @@ from .forms import _require_positive_u64, _require_u64
 
 # Witness set proven complete for every n below 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES_PRODUCT = prod(_MR_BASES)  # 7420738134810: one gcd tests all twelve
 
 # psi_k of OEIS A014233, k = 1..11: the smallest strong pseudoprime to the
 # first k bases (Jaeschke, Math. Comp. 61, 1993), so below psi_k the first k
@@ -24,9 +25,14 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
 # Default seed for the rho stage; factor() accepts an override.
 RHO_SEED = 0x10E5C41A
 
-# Values factored together by _window_factors. The factor lists cost about
-# 300 B per n, so blocks keep the peak flat in the width of the window.
+# Fewest values factored together by _window_factors; the block grows to a
+# quarter of the square root of hi. The factor lists cost about 300 B per n, so
+# the peak stays flat in the width of the window: about 0.75 MB at hi = 10^8.
 _BLOCK = 256
+
+# Every prime up to the limit, grown on demand and shared by the whole process.
+# The pair is replaced whole, so a thread racing another still reads a matching one.
+_prime_cache: tuple[int, tuple[int, ...]] = (0, ())
 
 
 def _sieve(limit: int) -> tuple[int, ...]:
@@ -38,22 +44,41 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return tuple(compress(range(limit + 1), flags))
 
 
+def _primes_upto(limit: int) -> tuple[int, ...]:
+    """_sieve(limit) from the process-wide cache, which at least doubles when it grows."""
+    global _prime_cache
+    cached, primes = _prime_cache
+    if limit > cached:
+        cached = max(limit, 2 * cached)
+        primes = _sieve(cached)
+        _prime_cache = cached, primes
+    return primes[:bisect(primes, limit)]
+
+
 def _window_factors(lo: int, hi: int) -> Iterator[list[tuple[int, int]]]:
     """factor(n) for each n in [lo, hi] in turn, from a segmented sieve; needs lo >= 1.
 
-    Block by block of _BLOCK values, each prime p up to the square root of hi
-    visits its multiples there and divides out its exponent, in ascending p.
-    What is left above 1 then has no prime factor up to that root, so it is
-    one more prime, larger than every one before it.
+    Block by block of max(_BLOCK, isqrt(hi) // 4) values, each prime p up to
+    the square root of hi that has a multiple in the block visits its multiples
+    there and divides out its exponent, in ascending p. What is left above 1
+    then has no prime factor up to that root, so it is one more prime, larger
+    than every one before it. The block grows with the root so that the walk
+    over the primes is paid for by at least four values per prime; at
+    hi = 10^8 that is 2500 values, about 0.75 MB of factor lists.
     """
-    primes = _sieve(isqrt(hi))
-    for start in range(lo, hi + 1, _BLOCK):
-        stop = min(start + _BLOCK, hi + 1)
-        rest = list(range(start, stop))
+    root = isqrt(hi)
+    primes = _primes_upto(root)
+    block = max(_BLOCK, root // 4)
+    for start in range(lo, hi + 1, block):
+        width = min(block, hi + 1 - start)
+        rest = list(range(start, start + width))
         factors: list[list[tuple[int, int]]] = [[] for _ in rest]
         for p in primes:
+            first = -start % p
+            if first >= width:
+                continue
             once = (p, 1)  # one tuple for every n that p divides exactly once
-            for i in range(-start % p, len(rest), p):
+            for i in range(first, width, p):
                 m = rest[i] // p
                 if m % p:
                     factors[i].append(once)
@@ -79,9 +104,8 @@ def is_prime(n: int) -> bool:
     _require_u64("n", n)
     if n < 2:
         return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+    if gcd(n, _MR_BASES_PRODUCT) != 1:
+        return n in _MR_BASES
     if n < 41 * 41:
         return True
     d = n - 1

@@ -58,6 +58,11 @@ def represent_prime(p: int) -> Representation:
         return _REP_THREE
     if p % 6 != 1:
         raise NotRepresentableError(f"prime {p} is {p % 6} (mod 6) and has no representation")
+    return _prime_rep(p)
+
+
+def _prime_rep(p: int) -> Representation:
+    """represent_prime for a p already known to be a prime 1 (mod 6)."""
     r = 2 * _cube_root(p) + 1  # r^2 = -3 (mod p)
     target = 4 * p
     a, u = 2 * p, r
@@ -132,7 +137,7 @@ def _construct(shape: GeneralForm, n: int,
     """
     reps = {_REP_ONE}
     for p, e in shape.primes:
-        prime_rep = represent_prime(p)
+        prime_rep = _prime_rep(p)
         for _ in range(e):
             reps = {compose(r, prime_rep, v) for r in reps for v in variants}
     for _ in range(shape.power_of_three):

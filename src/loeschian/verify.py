@@ -9,8 +9,9 @@ import os
 from array import array
 from collections import deque
 from collections.abc import Iterator
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, isqrt
+from operator import mod
 from random import Random
 from time import perf_counter
 from typing import NamedTuple
@@ -148,7 +149,8 @@ def verify_conjecture(sweep: SweepRange) -> VerificationReport:
 def verify_residues(limit: int) -> VerificationReport:
     """Every value over 0 <= b <= a <= limit must be 0, 1, 3, or 4 (mod 6).
 
-    The pairs to check number (limit + 1)(limit + 2)/2, which may not pass
+    Each value is computed exactly and its residue tested, one row of a at a
+    time. The pairs to check number (limit + 1)(limit + 2)/2, which may not pass
     CONJECTURE_LIMIT: limit 14140 is the largest accepted.
     """
     if not 1 <= limit <= _ENTRY_LIMIT:
@@ -160,6 +162,11 @@ def verify_residues(limit: int) -> VerificationReport:
 
     def mismatches():
         for a in range(limit + 1):
+            # Row a as a^2 + ab + b^2 for b = 0..a, stepping by a + 2b + 1; only
+            # a row with a bad residue goes through the pair loop for its report.
+            row = accumulate(range(a + 1, 3 * a, 2), initial=a * a)
+            if _GOOD_RESIDUES.issuperset(map(mod, row, repeat(6))):
+                continue
             aa = a * a
             for b in range(a + 1):
                 value = aa + a * b + b * b

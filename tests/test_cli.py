@@ -393,3 +393,19 @@ def test_installed_script_matches_in_process_output(capsys):
     assert result.returncode == 0
     _, out, _ = invoke(capsys, "represent", "91", "--all", "--json")
     assert result.stdout == out
+
+
+@pytest.mark.parametrize("module", ["loeschian", "loeschian.cli"])
+def test_python_dash_m_matches_in_process_output(capsys, module):
+    # The package and the cli module both run the CLI under `python -m`,
+    # with no install: only src on the import path.
+    src = str(Path(loeschian.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", module, "represent", "91", "--all", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    _, out, _ = invoke(capsys, "represent", "91", "--all", "--json")
+    assert result.stdout == out

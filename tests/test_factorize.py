@@ -17,7 +17,7 @@ from loeschian import (
     is_loeschian,
     is_prime,
 )
-from loeschian.factorize import _BLOCK, _window_factors
+from loeschian.factorize import _BLOCK, _primes_upto, _sieve, _window_factors
 from loeschian.verify import CONJECTURE_LIMIT, _SEGMENT
 from oracles import factor_with_table, sieve_primes, smallest_factor_table
 
@@ -44,6 +44,18 @@ def test_is_prime_edges():
         is_prime(-7)
     with pytest.raises(ValueError):
         is_prime(U64_MAX + 1)
+
+
+def test_is_prime_around_the_base_gcd():
+    # One gcd with the product of the twelve bases stands in for twelve
+    # divisibility tests: a shared factor means prime exactly at a base.
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    product = 7420738134810
+    assert [is_prime(n) for n in (0, 1, 41, 1681, 41 * 43, product)] == [
+        False, False, True, False, False, False]
+    assert all(is_prime(p) for p in bases)
+    assert not any(is_prime(p * q) for p in bases for q in bases)
+    assert is_prime(2**64 - 59)
 
 
 def test_is_prime_matches_sieve_to_one_million():
@@ -95,6 +107,24 @@ def test_window_factors_match_factor():
         windows.append((hi - 199, hi))
     for lo, hi in windows:
         assert list(_window_factors(lo, hi)) == _factor_lists(lo, hi), (lo, hi)
+
+
+def test_window_factors_across_grown_blocks(monkeypatch):
+    # At 10^8 a block holds isqrt(hi) // 4 = 2500 values, so this window
+    # crosses two block boundaries. The small windows around it make the
+    # emptied prime cache grow during the test, then serve a shorter root.
+    monkeypatch.setattr(factorize_mod, "_prime_cache", (0, ()))
+    top = CONJECTURE_LIMIT
+    for lo, hi in [(900, 1000), (top - 6000, top), (900, 1000)]:
+        assert list(_window_factors(lo, hi)) == _factor_lists(lo, hi), (lo, hi)
+    assert factorize_mod._prime_cache[0] >= isqrt(CONJECTURE_LIMIT)
+
+
+def test_cached_primes_match_a_fresh_sieve(monkeypatch):
+    monkeypatch.setattr(factorize_mod, "_prime_cache", (0, ()))
+    roots = sorted({r for k in range(15) for r in (2**k - 1, 2**k, 2**k + 1)})
+    for root in roots + roots[::-1]:
+        assert _primes_upto(root) == _sieve(root), root
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import loeschian.represent as represent_mod
 from loeschian import (
     NotRepresentableError,
     Representation,
@@ -173,6 +174,22 @@ def test_represent_fast_lands_in_enumeration():
             assert reps == []
         else:
             assert rep in reps
+
+
+def test_witness_construction_trusts_the_factorization(monkeypatch):
+    # factor has just proved each split prime prime, so building the
+    # representations runs no further Miller-Rabin test on it.
+    calls = []
+    is_prime = represent_mod.is_prime
+    monkeypatch.setattr(represent_mod, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    p, q = 2147483659, 2147483713
+    n = p * q
+    verdict = is_loeschian(n)
+    reps = enumerate_reps(n)
+    assert calls == []
+    assert verdict.witness in reps and len(reps) == 2
+    assert all(rep.value == n for rep in reps)
+    assert represent_prime(p).value == p and calls == [p]
 
 
 def test_is_loeschian_known_values():

@@ -197,6 +197,24 @@ def test_mismatches_are_capped(monkeypatch):
     assert len(report.mismatches) == MAX_MISMATCHES
 
 
+def _residue_mismatches(limit, good):
+    # The plain double loop over every pair, as the report words each miss.
+    return [verify_mod.Mismatch(v, "residue 0, 1, 3, or 4 (mod 6)",
+                                f"residue {v % 6} at pair ({a}, {b})")
+            for a in range(limit + 1) for b in range(a + 1)
+            if (v := a * a + a * b + b * b) % 6 not in good]
+
+
+@pytest.mark.parametrize("good, limit, total", [({0, 1, 3}, 60, 320), ({0, 3}, 200, 13467)])
+def test_residue_report_lists_failing_pairs_in_loop_order(monkeypatch, good, limit, total):
+    monkeypatch.setattr(verify_mod, "_GOOD_RESIDUES", frozenset(good))
+    report = verify_mod.verify_residues(limit)
+    expected = _residue_mismatches(limit, good)
+    assert len(expected) == total
+    assert report.checked == (limit + 1) * (limit + 2) // 2
+    assert report.mismatches == expected[:MAX_MISMATCHES]
+
+
 def test_verify_prime_theorems_known_limits():
     report = verify_prime_theorems(3)
     assert report.ok
