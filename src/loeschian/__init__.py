@@ -12,7 +12,6 @@ from .factorize import (
     RHO_SEED,
     classify_prime,
     factor,
-    general_form,
     is_prime,
 )
 from .forms import (
@@ -35,6 +34,7 @@ from .represent import (
     cube_root_unity,
     divide_by_square,
     enumerate_reps,
+    general_form,
     is_loeschian,
     rational_lift,
     represent_fast,

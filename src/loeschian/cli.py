@@ -16,6 +16,7 @@ from fractions import Fraction
 from .factorize import factor
 from .forms import (
     U64_MAX,
+    Representation,
     canonicalize,
     compose,
     compose_minus,
@@ -29,6 +30,7 @@ from .represent import (
     enumerate_reps,
     is_loeschian,
     rational_lift,
+    represent_fast,
     represent_prime,
 )
 from .verify import (
@@ -166,7 +168,7 @@ def _cmd_represent(args):
             return EXIT_NEGATIVE, doc, [f"{args.n} is not representable"]
         return EXIT_OK, doc, [_pair_text(r) for r in reps]
     if args.fast:
-        rep = is_loeschian(args.n).witness
+        rep = represent_fast(args.n) if args.n else Representation(0, 0)
     else:
         reps = enumerate_reps(args.n)
         rep = reps[0] if reps else None

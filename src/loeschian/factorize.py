@@ -142,7 +142,16 @@ def _rho_split(n: int, rng: Random) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
+                steps = min(128, r - k)
+                # Four differences per reduction: q mod n, and so the gcd, is
+                # the same as with one reduction per step.
+                for _ in range(steps >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * ((x - y1) * (x - y2)) * ((x - y3) * (x - y)) % n
+                for _ in range(steps & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = gcd(q, n)
@@ -171,13 +180,14 @@ def _factor_hard(n: int, counts: dict[int, int], seed: int) -> None:
     _factor_hard(n // d, counts, seed)
 
 
-def factor(n: int, seed: int = RHO_SEED) -> list[tuple[int, int]]:
-    """Prime factorization as an ascending list of (prime, exponent) pairs.
+def _trial_part(n: int) -> tuple[list[tuple[int, int]], int]:
+    """The prime powers of n below 1000, ascending, and the cofactor m they leave.
 
-    factor(1) is the empty list. Output is deterministic for a fixed seed.
+    Every prime factor of m is larger than each prime listed, so the list
+    followed by _cofactor_factors(m) is factor(n).
     """
     _require_positive_u64("n", n)
-    counts: dict[int, int] = {}
+    small: list[tuple[int, int]] = []
     for p in _TRIAL_PRIMES:
         if p * p > n:
             break
@@ -186,10 +196,25 @@ def factor(n: int, seed: int = RHO_SEED) -> list[tuple[int, int]]:
             while n % p == 0:
                 n //= p
                 e += 1
-            counts[p] = e
-    if n > 1:
-        _factor_hard(n, counts, seed)
+            small.append((p, e))
+    return small, n
+
+
+def _cofactor_factors(m: int, seed: int) -> list[tuple[int, int]]:
+    """factor of a cofactor left by _trial_part, by the square test, Miller-Rabin and rho."""
+    counts: dict[int, int] = {}
+    if m > 1:
+        _factor_hard(m, counts, seed)
     return sorted(counts.items())
+
+
+def factor(n: int, seed: int = RHO_SEED) -> list[tuple[int, int]]:
+    """Prime factorization as an ascending list of (prime, exponent) pairs.
+
+    factor(1) is the empty list. Output is deterministic for a fixed seed.
+    """
+    small, m = _trial_part(n)
+    return small + _cofactor_factors(m, seed)
 
 
 class PrimeClass(Enum):
@@ -221,12 +246,6 @@ class GeneralForm(NamedTuple):
     scale: int
     power_of_three: int
     primes: list[tuple[int, int]]
-
-
-def general_form(n: int, seed: int = RHO_SEED) -> GeneralForm | None:
-    """Split n into the representable shape, or None when a residual prime has odd exponent."""
-    shape = _general_form_from(factor(n, seed))
-    return shape if isinstance(shape, GeneralForm) else None
 
 
 def _general_form_from(factors: list[tuple[int, int]]) -> GeneralForm | tuple[int, int]:

@@ -5,7 +5,8 @@ from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple
 
-from .factorize import GeneralForm, factor, general_form, is_prime, _general_form_from
+from .factorize import (RHO_SEED, GeneralForm, _cofactor_factors, _general_form_from,
+                        _trial_part, is_prime)
 from .forms import (Representation, U64_MAX, _require_positive_u64, _require_u64,
                     canonicalize, compose, evaluate)
 
@@ -80,6 +81,32 @@ def _prime_rep(p: int) -> Representation:
     return rep
 
 
+def _shape(n: int, seed: int = RHO_SEED,
+           obstruction: bool = False) -> GeneralForm | tuple[int, int] | None:
+    """_general_form_from(factor(n, seed)), factoring only as far as the answer needs.
+
+    A residual prime with odd exponent among the prime powers below 1000 is
+    the first obstruction, since every prime of the cofactor m they leave is
+    larger, so m is not factored. Otherwise, unless the obstruction is asked
+    for, the result is None when m = 2 (mod 3): m holds no 3, so m mod 3 is
+    (-1) to the total exponent of its primes 2 (mod 3), and one of them has
+    an odd exponent. Only an m that neither rule decides goes to rho.
+    """
+    small, m = _trial_part(n)
+    shape = _general_form_from(small)
+    if m == 1 or not isinstance(shape, GeneralForm):
+        return shape
+    if m % 3 == 2 and not obstruction:
+        return None
+    return _general_form_from(small + _cofactor_factors(m, seed))
+
+
+def general_form(n: int, seed: int = RHO_SEED) -> GeneralForm | None:
+    """Split n into the representable shape, or None when a residual prime has odd exponent."""
+    shape = _shape(n, seed)
+    return shape if isinstance(shape, GeneralForm) else None
+
+
 def enumerate_reps(n: int) -> list[Representation]:
     """Every canonical representation of n, ordered by ascending second entry.
 
@@ -114,12 +141,13 @@ def is_loeschian(n: int) -> Verdict:
     """Decide from the factorization whether n is a value of the form.
 
     n is representable exactly when every prime factor that is 2 or
-    5 (mod 6) occurs to an even power.
+    5 (mod 6) occurs to an even power. The obstruction is the smallest such
+    prime with an odd power; one below 1000 is found without rho.
     """
     _require_u64("n", n)
     if n == 0:
         return Verdict(True, witness=Representation(0, 0))
-    shape = _general_form_from(factor(n))
+    shape = _shape(n, obstruction=True)
     if not isinstance(shape, GeneralForm):
         return Verdict(False, obstruction=shape)
     return Verdict(True, witness=_construct(shape, n)[0])
@@ -153,10 +181,11 @@ def _construct(shape: GeneralForm, n: int,
 def represent_fast(n: int) -> Representation | None:
     """One canonical representation of n without exhaustive search, or None.
 
-    The witness of is_loeschian, composed from the prime representations.
+    The witness of is_loeschian, composed from the prime representations;
+    like general_form, it stops at the first sign that n is not a value.
     """
-    _require_positive_u64("n", n)
-    return is_loeschian(n).witness
+    shape = general_form(n)
+    return None if shape is None else _construct(shape, n)[0]
 
 
 def count_formula(n: int) -> int:
@@ -164,13 +193,13 @@ def count_formula(n: int) -> int:
 
     With the (1 mod 6) exponents e_i: half of (1 + prod(e_i + 1)) when all
     e_i are even, half of prod(e_i + 1) otherwise; 0 when n is not
-    representable at all.
+    representable at all, which is often known before n is fully factored.
     """
-    return _count(_general_form_from(factor(n)))
+    return _count(_shape(n))
 
 
-def _count(shape: GeneralForm | tuple[int, int]) -> int:
-    """The count_formula rule on a _general_form_from result; an obstruction counts 0."""
+def _count(shape: GeneralForm | tuple[int, int] | None) -> int:
+    """The count_formula rule on a _general_form_from or _shape result; any other counts 0."""
     if not isinstance(shape, GeneralForm):
         return 0
     product = 1

@@ -140,6 +140,30 @@ def test_count(capsys):
     assert code == 0 and doc == {"n": "91", "count": "2"}
 
 
+def test_early_decided_answers_keep_their_output(capsys):
+    # 2147483659 is 1 and 2147483693 is 2 (mod 3): the cofactor after trial
+    # division decides "not representable" before rho runs.
+    n = 2147483659 * 2147483693
+    assert count_formula(n) == 0 and represent_fast(n) is None
+    assert is_loeschian(n).obstruction == (2147483693, 1)
+    texts = {
+        ("count",): "0\n",
+        ("classify",): "not representable; witness prime 2147483693 has odd exponent 1\n",
+        ("represent",): f"{n} is not representable\n",
+        ("represent", "--fast"): f"{n} is not representable\n",
+    }
+    docs = {
+        ("count",): {"n": str(n), "count": "0"},
+        ("classify",): {"n": str(n), "representable": False,
+                        "obstruction": {"prime": "2147483693", "exponent": "1"}},
+        ("represent",): {"n": str(n), "representation": None},
+        ("represent", "--fast"): {"n": str(n), "representation": None},
+    }
+    for argv, text in texts.items():
+        assert invoke(capsys, argv[0], str(n), *argv[1:]) == (1, text, "")
+        assert invoke_json(capsys, argv[0], str(n), *argv[1:], "--json") == (1, docs[argv])
+
+
 def test_prime_rep(capsys):
     code, out, _ = invoke(capsys, "prime-rep", "7")
     assert code == 0 and out == "[2, 1]\n"

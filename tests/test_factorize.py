@@ -1,4 +1,4 @@
-from math import isqrt
+from math import gcd, isqrt
 from random import Random
 
 import pytest
@@ -11,13 +11,18 @@ from loeschian import (
     PrimeClass,
     RHO_SEED,
     U64_MAX,
+    Verdict,
     classify_prime,
+    count_formula,
+    enumerate_reps,
+    evaluate,
     factor,
     general_form,
     is_loeschian,
     is_prime,
+    represent_fast,
 )
-from loeschian.factorize import _BLOCK, _primes_upto, _sieve, _window_factors
+from loeschian.factorize import _BLOCK, _primes_upto, _rho_split, _sieve, _window_factors
 from loeschian.verify import CONJECTURE_LIMIT, _SEGMENT
 from oracles import factor_with_table, sieve_primes, smallest_factor_table
 
@@ -235,6 +240,126 @@ def test_factor_with_square_parts_matches_sympy(rho_calls):
     # Rho still splits what is not a square, and never sees a square.
     assert rho_calls
     assert all(isqrt(m) ** 2 != m for m in rho_calls)
+
+
+def _prime_mod_3(rng, bits, residue):
+    """A seeded prime of the given bit length that is residue (mod 3)."""
+    while True:
+        p = sympy.nextprime(rng.randrange(2 ** (bits - 1), 2**bits - 2**10))
+        if p % 3 == residue:
+            return p
+
+
+def _obstruction(factors):
+    """The smallest prime 2 (mod 3) with an odd exponent, from a known factorization."""
+    return next(((p, e) for p, e in sorted(factors) if p % 3 == 2 and e & 1), None)
+
+
+def test_early_decisions_skip_rho(rho_calls):
+    # After trial division, a cofactor m = 2 (mod 3) holds a prime 2 (mod 3)
+    # to an odd power, so "not representable" needs no rho; nor does an
+    # obstruction below 1000, since every prime of m is larger.
+    rng = Random(53)
+    threes = 0
+    for bits in (31, 32, 31, 32):
+        p, q = _prime_mod_3(rng, bits, 1), _prime_mod_3(rng, bits, 2)
+        for k in range(4):
+            n = 3**k * p * q
+            if n > U64_MAX:
+                break
+            threes += k > 0
+            assert _obstruction([(3, k), (p, 1), (q, 1)]) == (q, 1)
+            assert count_formula(n) == 0, n
+            assert represent_fast(n) is None, n
+            assert general_form(n) is None, n
+            assert enumerate_reps(n) == [], n
+        if 2 * p * q <= U64_MAX:
+            assert is_loeschian(2 * p * q) == Verdict(False, obstruction=(2, 1))
+            assert _obstruction([(2, 1), (p, 1), (q, 1)]) == (2, 1)
+    assert threes
+    for _ in range(3):
+        p, q = _prime_mod_3(rng, 28, 1), _prime_mod_3(rng, 28, 2)
+        assert is_loeschian(5**3 * p * q) == Verdict(False, obstruction=(5, 3))
+        assert _obstruction([(5, 3), (p, 1), (q, 1)]) == (5, 3)
+    assert rho_calls == []
+
+
+def _theta_count(n):
+    """(sum of chi_-3(d) over the divisors d of n, plus 1 at a square or 3 times one) / 2."""
+    total = sum((0, 1, -1)[d % 3] for d in sympy.divisors(n))
+    square = isqrt(n) ** 2 == n or (n % 3 == 0 and isqrt(n // 3) ** 2 == n // 3)
+    return (total + square) // 2
+
+
+def test_answers_that_need_rho_still_match(rho_calls):
+    rng = Random(59)
+    # Both primes 2 (mod 3): m = 1 (mod 3), so only the factors show it is out.
+    p, q = sorted((_prime_mod_3(rng, 31, 2), _prime_mod_3(rng, 31, 2)))
+    n = p * q
+    assert is_loeschian(n) == Verdict(False, obstruction=(p, 1))
+    assert count_formula(n) == 0 == _theta_count(n)
+    assert represent_fast(n) is None
+    assert enumerate_reps(n) == []
+    assert rho_calls
+    # Both primes 1 (mod 3), times 5^2: representable, two ways.
+    p, q = _prime_mod_3(rng, 29, 1), _prime_mod_3(rng, 29, 1)
+    n = 5**2 * p * q
+    reps = enumerate_reps(n)
+    assert count_formula(n) == len(reps) == 2 == _theta_count(n)
+    assert all(evaluate(a, b) == n for a, b in reps)
+    assert represent_fast(n) == is_loeschian(n).witness
+    assert represent_fast(n) in reps
+    assert general_form(n).scale == 5
+
+
+def _rho_split_one_step(n, rng):
+    """_rho_split with one reduction of q per step; also says whether ys was walked again."""
+    rewalked = False
+    while True:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        g = q = r = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r <<= 1
+        if g == n:
+            rewalked = True
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, rewalked
+
+
+def test_grouped_rho_returns_the_one_step_divisor():
+    # Four differences per reduction leave q mod n, and so each gcd, as it was.
+    rng = Random(61)
+    cases = []
+    for bits in (12, 20, 26, 31, 32):
+        p = sympy.nextprime(rng.randrange(2 ** (bits - 1), 2**bits - 2**10))
+        cases.append(p * sympy.nextprime(rng.randrange(p, 2**bits)))
+    for n in cases:
+        for seed in (RHO_SEED, 1, 2):
+            expected, _ = _rho_split_one_step(n, Random(seed))
+            assert _rho_split(n, Random(seed)) == expected, (n, seed)
+    # Found by a search among p * q near 1009 * 1013: at the default seed one
+    # batch takes both primes, its gcd is n, and ys is walked again step by step.
+    n = 1009 * 1019
+    assert _rho_split_one_step(n, Random(RHO_SEED)) == (1019, True)
+    assert _rho_split(n, Random(RHO_SEED)) == 1019
+    assert factor(n) == [(1009, 1), (1019, 1)]
 
 
 @settings(max_examples=200)

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import isqrt, prod
 from random import Random
 
 import pytest
@@ -19,6 +21,7 @@ from loeschian import (
     represent_fast,
     represent_prime,
 )
+from loeschian.factorize import _general_form_from
 from oracles import brute_reps, scan_reps, sieve_primes
 
 
@@ -157,6 +160,23 @@ def test_count_formula_rejects_zero():
 def test_count_formula_matches_enumeration_on_a_prefix():
     for n in range(1, 3001):
         assert count_formula(n) == len(enumerate_reps(n)), n
+
+
+def test_count_is_the_theta_series_on_a_grid_of_shapes():
+    # The sum of chi_-3(d) over the divisors d of n is multiplicative: e + 1
+    # for a prime 1 (mod 6), 1 for 3, and 1 or 0 by the parity of e for a
+    # prime 2 (mod 3). Halving it after adding 1 at n = m^2 or 3m^2 gives the
+    # canonical count (OEIS A002324), so the paper's counting formula holds on
+    # every shape here as a consequence of the classical theorem.
+    primes = (2, 3, 5, 7, 13, 2**61 - 1)
+    for exponents in product(range(4), repeat=len(primes)):
+        factors = [(p, e) for p, e in zip(primes, exponents) if e]
+        n = prod(p**e for p, e in factors)
+        theta = prod(e + 1 if p % 6 == 1 else 1 if p == 3 else 1 - (e & 1)
+                     for p, e in factors)
+        square = isqrt(n) ** 2 == n or (n % 3 == 0 and isqrt(n // 3) ** 2 == n // 3)
+        assert (theta + square) % 2 == 0, factors
+        assert represent_mod._count(_general_form_from(factors)) == (theta + square) // 2, factors
 
 
 def test_represent_fast_known_values():
