@@ -6,12 +6,12 @@ many workers ran, and only elapsed_ms varies between runs.
 """
 
 import os
+import sys
 from array import array
 from collections import deque
 from collections.abc import Iterator
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from math import gcd, isqrt
-from operator import mod
 from random import Random
 from time import perf_counter
 from typing import NamedTuple
@@ -27,6 +27,9 @@ CONJECTURE_LIMIT = 10**8
 _SEGMENT = 1 << 16
 
 _GOOD_RESIDUES = frozenset({0, 1, 3, 4})
+
+# ceil(2^35 / 6): for v < 2^33, (v * _SIXTH) >> 35 is v // 6 and v * _SIXTH < 2^63.
+_SIXTH = -(-(1 << 35) // 6)
 
 # Largest entry whose form value still fits in 64 bits.
 _ENTRY_LIMIT = isqrt(U64_MAX // 3)
@@ -146,11 +149,45 @@ def verify_conjecture(sweep: SweepRange) -> VerificationReport:
     return _report(sweep, sweep.hi - sweep.lo + 1, chain.from_iterable(parts), start)
 
 
+def _digits(values) -> int:
+    """The integer whose 64-bit digits, least significant first, are values."""
+    words = array("Q", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _residue_table(limit: int) -> tuple[int, int, int, int]:
+    """Digit columns for rows of up to limit + 1 digits: 1, b, b^2 and 2^29 - 1."""
+    n = limit + 1
+    ones = _digits([1] * n)
+    return ones, _digits(range(n)), _digits([b * b for b in range(n)]), ones * ((1 << 29) - 1)
+
+
+def _row_residues(a: int, table: tuple[int, int, int, int]) -> bytes:
+    """(a^2 + ab + b^2) % 6 for b = 0..a, one byte each, from a table sized past a.
+
+    Row a is a^2 * ones + a * bs + squares cut to a + 1 digits. Every value is
+    below 2^30 within the pair guard, so no digit carries into the next: times
+    _SIXTH each digit stays below 2^63, the shift by 35 leaves its quotient by 6
+    (below 2^28) in its low 29 bits under the spill of the digit above, and the
+    mask clears that spill.
+    """
+    ones, bs, squares, low29 = table
+    cut = (1 << 64 * (a + 1)) - 1
+    row = a * (a * (ones & cut) + (bs & cut)) + (squares & cut)
+    residues = row - 6 * ((row * _SIXTH >> 35) & low29)
+    return residues.to_bytes(8 * (a + 1), "little")[::8]
+
+
 def verify_residues(limit: int) -> VerificationReport:
     """Every value over 0 <= b <= a <= limit must be 0, 1, 3, or 4 (mod 6).
 
-    Each value is computed exactly and its residue tested, one row of a at a
-    time. The pairs to check number (limit + 1)(limit + 2)/2, which may not pass
+    Row a of values is one integer whose 64-bit digits are the exact values
+    a^2 + ab + b^2 for b = 0..a, and every residue of the row comes from one
+    multiplication by ceil(2^35 / 6), a shift and a mask; only a row with a bad
+    residue is walked pair by pair, which words its mismatches in pair order.
+    The pairs to check number (limit + 1)(limit + 2)/2, which may not pass
     CONJECTURE_LIMIT: limit 14140 is the largest accepted.
     """
     if not 1 <= limit <= _ENTRY_LIMIT:
@@ -161,11 +198,10 @@ def verify_residues(limit: int) -> VerificationReport:
                          f"{CONJECTURE_LIMIT}")
 
     def mismatches():
+        good = bytes(_GOOD_RESIDUES)
+        table = _residue_table(limit)
         for a in range(limit + 1):
-            # Row a as a^2 + ab + b^2 for b = 0..a, stepping by a + 2b + 1; only
-            # a row with a bad residue goes through the pair loop for its report.
-            row = accumulate(range(a + 1, 3 * a, 2), initial=a * a)
-            if _GOOD_RESIDUES.issuperset(map(mod, row, repeat(6))):
+            if not _row_residues(a, table).translate(None, good):
                 continue
             aa = a * a
             for b in range(a + 1):

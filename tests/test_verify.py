@@ -1,5 +1,7 @@
 import concurrent.futures
 import os
+from itertools import chain
+from math import gcd, isqrt
 from random import Random
 
 import pytest
@@ -19,6 +21,7 @@ from loeschian import (
     verify_prime_theorems,
     verify_residues,
 )
+from loeschian.factorize import _window_factors
 from loeschian.verify import MAX_MISMATCHES, _SEGMENT, _divisors, _window_counts
 from oracles import brute_sequence, scan_reps
 
@@ -205,14 +208,80 @@ def _residue_mismatches(limit, good):
             if (v := a * a + a * b + b * b) % 6 not in good]
 
 
-@pytest.mark.parametrize("good, limit, total", [({0, 1, 3}, 60, 320), ({0, 3}, 200, 13467)])
+class _CountingResidues(frozenset):
+    """A residue set that counts its membership tests, one per pair walked."""
+
+    def __contains__(self, residue):
+        self.lookups += 1
+        return super().__contains__(residue)
+
+
+@pytest.mark.parametrize("good, limit, total", [
+    ({0, 1, 3}, 60, 320), ({0, 3}, 200, 13467),
+    # Without 0 the zero bytes of a digit's upper part must not pass for good.
+    ({1, 3, 4}, 120, 651),
+    (set(range(6)), 200, 0),
+])
 def test_residue_report_lists_failing_pairs_in_loop_order(monkeypatch, good, limit, total):
-    monkeypatch.setattr(verify_mod, "_GOOD_RESIDUES", frozenset(good))
+    counting = _CountingResidues(good)
+    counting.lookups = 0
+    monkeypatch.setattr(verify_mod, "_GOOD_RESIDUES", counting)
     report = verify_mod.verify_residues(limit)
     expected = _residue_mismatches(limit, good)
     assert len(expected) == total
     assert report.checked == (limit + 1) * (limit + 2) // 2
     assert report.mismatches == expected[:MAX_MISMATCHES]
+    # Exactly the rows holding a bad pair are walked, each pair once.
+    failing_rows = {a for a in range(limit + 1) for b in range(a + 1)
+                    if (a * a + a * b + b * b) % 6 not in good}
+    assert counting.lookups == sum(a + 1 for a in failing_rows)
+
+
+def test_packed_rows_hold_every_residue():
+    # Rows 14100-14140 hold the largest values the pair guard admits, up to
+    # 3 * 14140^2 < 2^30; each row is computed alone from the call's table.
+    table = verify_mod._residue_table(14140)
+    for a in chain(range(601), range(14100, 14141)):
+        residues = verify_mod._row_residues(a, table)
+        assert list(residues) == [(a * a + a * b + b * b) % 6 for b in range(a + 1)], a
+
+
+def _primitive_counts(lo, hi):
+    # The _window_counts walk, keeping only the coprime pairs.
+    counts = [0] * (hi - lo + 1)
+    third = -(-lo // 3)
+    for a in range(isqrt(third - 1) + 1 if third else 0, isqrt(hi) + 1):
+        disc = 4 * lo - 3 * a * a
+        b = 0 if disc <= a * a else (isqrt(disc - 1) + 2 - a) >> 1
+        value = a * a + a * b + b * b
+        while value <= hi and b <= a:
+            if gcd(a, b) == 1:
+                counts[value - lo] += 1
+            value += a + 2 * b + 1
+            b += 1
+    return counts
+
+
+def _primitive_prediction(factors):
+    # 1 for n = 1 and 3; 2^(k-1) for 3^(0 or 1) times powers of k >= 1 primes
+    # 1 (mod 6); 0 when a prime 2 (mod 3) or 9 divides n.
+    if any(p % 3 == 2 or (p == 3 and e > 1) for p, e in factors):
+        return 0
+    k = sum(p % 6 == 1 for p, _ in factors)
+    return 1 << (k - 1) if k else 1
+
+
+def test_primitive_counts_follow_theorem_iii():
+    # A nonzero primitive count forces every prime of n to be 3 or 1 (mod 6),
+    # so every divisor of a value at a coprime pair is itself a value.
+    rng = Random(2004)
+    windows = [(1, 10**5)]
+    for _ in range(2):
+        lo = rng.randrange(1, verify_mod.CONJECTURE_LIMIT - 1999)
+        windows.append((lo, lo + 1999))
+    for lo, hi in windows:
+        predicted = [_primitive_prediction(f) for f in _window_factors(lo, hi)]
+        assert _primitive_counts(lo, hi) == predicted, (lo, hi)
 
 
 def test_verify_prime_theorems_known_limits():
