@@ -35,22 +35,23 @@ _BLOCK = 256
 _prime_cache: tuple[int, tuple[int, ...]] = (0, ())
 
 
-def _sieve(limit: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-    return tuple(compress(range(limit + 1), flags))
+def _sieve(lo: int, hi: int) -> tuple[int, ...]:
+    """The primes in [lo, hi], ascending: each prime up to isqrt(hi) crosses off its multiples."""
+    lo = max(lo, 2)
+    flags = bytearray([1]) * (hi + 1 - lo)
+    for p in _primes_upto(isqrt(hi)):
+        first = max(p * p, -(-lo // p) * p)
+        flags[first - lo :: p] = bytes(len(range(first, hi + 1, p)))
+    return tuple(compress(range(lo, hi + 1), flags))
 
 
 def _primes_upto(limit: int) -> tuple[int, ...]:
-    """_sieve(limit) from the process-wide cache, which at least doubles when it grows."""
+    """_sieve(0, limit) from the process-wide cache, which at least doubles when it grows."""
     global _prime_cache
     cached, primes = _prime_cache
-    if limit > cached:
+    if limit > max(cached, 1):  # no prime is below 2, and _sieve(0, 1) asks for the primes to 1
         cached = max(limit, 2 * cached)
-        primes = _sieve(cached)
+        primes = _sieve(0, cached)
         _prime_cache = cached, primes
     return primes[:bisect(primes, limit)]
 
@@ -95,7 +96,7 @@ def _window_factors(lo: int, hi: int) -> Iterator[list[tuple[int, int]]]:
         yield from factors
 
 
-_TRIAL_PRIMES = _sieve(1000)
+_TRIAL_PRIMES = _sieve(0, 1000)
 _TRIAL_COVERED = 1009 * 1009  # anything below this is fully split by trial division
 
 

@@ -72,16 +72,17 @@ class VerificationReport(NamedTuple("VerificationReport", [
         return not self.mismatches
 
 
+def _first(found: Iterator) -> list:
+    """The first MAX_MISMATCHES items of found; the rest is drained, so every input is checked."""
+    first = list(islice(found, MAX_MISMATCHES))
+    deque(found, maxlen=0)
+    return first
+
+
 def _report(sweep: SweepRange, checked: int, found: Iterator[tuple[int, object, object]],
             start: float) -> VerificationReport:
-    """Report the first MAX_MISMATCHES (n, expected, actual) tuples of found.
-
-    The rest of found is drained unrecorded, so the sweep still checks every
-    input; elapsed_ms runs from start until the sweep is done.
-    """
-    mismatches = [Mismatch(n, str(expected), str(actual))
-                  for n, expected, actual in islice(found, MAX_MISMATCHES)]
-    deque(found, maxlen=0)
+    """Report the (n, expected, actual) tuples that _first keeps of found, timed from start."""
+    mismatches = [Mismatch(n, str(expected), str(actual)) for n, expected, actual in _first(found)]
     return VerificationReport(sweep, checked, mismatches, (perf_counter() - start) * 1000.0)
 
 
@@ -109,44 +110,44 @@ def _window_counts(lo: int, hi: int) -> array:
     return counts
 
 
-def _segments(lo: int, hi: int) -> Iterator[range]:
-    """[lo, hi] cut into ascending contiguous ranges of at most _SEGMENT values."""
-    for start in range(lo, hi + 1, _SEGMENT):
-        yield range(start, min(start + _SEGMENT, hi + 1))
+def _parts(part, lo: int, hi: int, workers: int = 1) -> Iterator:
+    """part(segment) for each segment of at most _SEGMENT values of [lo, hi], in ascending order.
+
+    In-process when there is one segment or one worker; otherwise a pool of at
+    most min(workers, segments, CPUs) processes computes the parts, and each is
+    yielded as it comes back, in order, while the pool is still open.
+    """
+    starts = range(lo, hi + 1, _SEGMENT)
+    segments = (range(start, min(start + _SEGMENT, hi + 1)) for start in starts)
+    if (k := min(workers, len(starts), os.cpu_count() or 1)) == 1:
+        yield from map(part, segments)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=k) as pool:
+        yield from pool.map(part, segments)
 
 
 def _conjecture_part(segment: range) -> list[tuple[int, int, int]]:
     lo, hi = segment[0], segment[-1]
-    return [(n, expected, actual)
-            for n, factors, actual in zip(segment, _window_factors(lo, hi), _window_counts(lo, hi))
-            if (expected := _count(_general_form_from(factors))) != actual]
+    return _first((n, expected, actual) for n, factors, actual in
+                  zip(segment, _window_factors(lo, hi), _window_counts(lo, hi))
+                  if (expected := _count(_general_form_from(factors))) != actual)
 
 
 def verify_conjecture(sweep: SweepRange) -> VerificationReport:
     """Compare the counting formula with exhaustive enumeration over [lo, hi].
 
-    The range is cut into contiguous segments, each counted by one lattice
-    pass. The formula side of a segment comes from a block-wise segmented
-    sieve, whose factor lists go through the library's own _general_form_from
-    and counting rule, so no n pays for a factor call. A process pool starts
-    only when there is more than one segment, with at most one process per
-    segment and per CPU; the report still echoes sweep.workers. Segments come
-    back in ascending order of n, so the report content is identical for any
-    worker count.
+    Each segment of _parts is counted by one lattice pass. The formula side of
+    a segment comes from a block-wise segmented sieve, whose factor lists go
+    through the library's own _general_form_from and counting rule, so no n
+    pays for a factor call. A segment compares every n but keeps only its first
+    mismatches. The report echoes sweep.workers.
     """
     if sweep.hi > CONJECTURE_LIMIT:
         raise ValueError(f"hi={sweep.hi} exceeds the sweep guard {CONJECTURE_LIMIT}")
-    start = perf_counter()
-    segments = list(_segments(sweep.lo, sweep.hi))
-    k = min(sweep.workers, len(segments), os.cpu_count() or 1)
-    if k == 1:
-        parts = map(_conjecture_part, segments)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=k) as pool:
-            parts = list(pool.map(_conjecture_part, segments))
-    return _report(sweep, sweep.hi - sweep.lo + 1, chain.from_iterable(parts), start)
+    parts = _parts(_conjecture_part, sweep.lo, sweep.hi, sweep.workers)
+    return _report(sweep, sweep.hi - sweep.lo + 1, chain.from_iterable(parts), perf_counter())
 
 
 def _digits(values) -> int:
@@ -200,6 +201,7 @@ def verify_residues(limit: int) -> VerificationReport:
     def mismatches():
         good = bytes(_GOOD_RESIDUES)
         table = _residue_table(limit)
+        missed = 0  # only the first MAX_MISMATCHES misses are put in words
         for a in range(limit + 1):
             if not _row_residues(a, table).translate(None, good):
                 continue
@@ -207,8 +209,9 @@ def verify_residues(limit: int) -> VerificationReport:
             for b in range(a + 1):
                 value = aa + a * b + b * b
                 if value % 6 not in _GOOD_RESIDUES:
-                    yield (value, "residue 0, 1, 3, or 4 (mod 6)",
-                           f"residue {value % 6} at pair ({a}, {b})")
+                    if (missed := missed + 1) <= MAX_MISMATCHES:
+                        yield (value, "residue 0, 1, 3, or 4 (mod 6)",
+                               f"residue {value % 6} at pair ({a}, {b})")
 
     return _report(SweepRange(1, limit, 1), checked, mismatches(), perf_counter())
 
@@ -216,8 +219,9 @@ def verify_residues(limit: int) -> VerificationReport:
 def verify_prime_theorems(limit: int) -> VerificationReport:
     """Check classification, counting, and construction on every prime <= limit.
 
-    The counts come from one lattice window over [0, limit], the predictions
-    from the shape rule on p^1. A prime predicted 0 is residual: it must have no
+    Segment by segment of _parts over [0, limit], the primes come from a
+    segmented sieve, the counts from one lattice window, the predictions from
+    the shape rule on p^1. A prime predicted 0 is residual: it must have no
     representation and represent_prime must refuse. Any other prime must have
     exactly one, a canonical pair of value p that represent_prime returns.
     """
@@ -225,13 +229,16 @@ def verify_prime_theorems(limit: int) -> VerificationReport:
         raise ValueError(f"limit={limit} must be at least 2")
     if limit > CONJECTURE_LIMIT:
         raise ValueError(f"limit={limit} exceeds the sweep guard {CONJECTURE_LIMIT}")
-    start = perf_counter()
-    primes = _sieve(limit)
-    counts = _window_counts(0, limit)
+    checked = 0
 
-    def mismatches():
+    def mismatches(segment):
+        nonlocal checked
+        lo, hi = segment[0], segment[-1]
+        primes = _sieve(lo, hi)
+        counts = _window_counts(lo, hi)
+        checked += len(primes)
         for p in primes:
-            count = counts[p]
+            count = counts[p - lo]
             predicted = _count(_general_form_from([(p, 1)]))
             if count != predicted:
                 yield p, f"count formula {predicted}", f"{count} enumerated"
@@ -252,7 +259,9 @@ def verify_prime_theorems(limit: int) -> VerificationReport:
                 elif not (0 <= rep.b <= rep.a and evaluate(*rep) == p):
                     yield p, f"a canonical pair of value {p}", f"constructed {rep}"
 
-    return _report(SweepRange(1, limit, 1), len(primes), mismatches(), start)
+    parts = _parts(mismatches, 0, limit)  # counts the primes into checked as _report drains it
+    report = _report(SweepRange(1, limit, 1), 0, chain.from_iterable(parts), perf_counter())
+    return report._replace(checked=checked)
 
 
 def _divisors(factors: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -303,8 +312,8 @@ def verify_factor_theorem(pair_bound: int, samples: int, seed: int) -> Verificat
 def emit_sequence(limit: int) -> list[int]:
     """Ascending list of every representable value up to limit, starting at 0.
 
-    The values with a nonzero lattice count, segment by segment over [0, limit].
+    The values with a nonzero lattice count, segment by segment of _parts over [0, limit].
     """
     _require_u64("limit", limit)
-    return [n for segment in _segments(0, limit)
-            for n in compress(segment, _window_counts(segment[0], segment[-1]))]
+    return list(chain.from_iterable(_parts(
+        lambda segment: compress(segment, _window_counts(segment[0], segment[-1])), 0, limit)))

@@ -129,7 +129,23 @@ def test_cached_primes_match_a_fresh_sieve(monkeypatch):
     monkeypatch.setattr(factorize_mod, "_prime_cache", (0, ()))
     roots = sorted({r for k in range(15) for r in (2**k - 1, 2**k, 2**k + 1)})
     for root in roots + roots[::-1]:
-        assert _primes_upto(root) == _sieve(root), root
+        assert _primes_upto(root) == _sieve(0, root), root
+
+
+def _oracle_primes(lo, hi):
+    # Trial division by the oracle's primes up to the root of hi.
+    small = sieve_primes(max(isqrt(hi), 2))
+    return tuple(n for n in range(max(lo, 2), hi + 1) if all(n % p for p in small if p * p <= n))
+
+
+def test_segmented_sieve_matches_the_oracle():
+    # lo = 0..4 takes in or leaves out 0, 1 and the first primes; around a
+    # prime square its first multiple to cross off sits inside the window.
+    windows = [(lo, 100) for lo in range(5)] + [(lo, lo) for lo in range(5)]
+    windows += [(24, 26), (1009**2 - 3, 1009**2 + 3), (_SEGMENT - 300, _SEGMENT + 300),
+                (CONJECTURE_LIMIT - 2000, CONJECTURE_LIMIT)]
+    for lo, hi in windows:
+        assert _sieve(lo, hi) == _oracle_primes(lo, hi), (lo, hi)
 
 
 @settings(max_examples=60, deadline=None)

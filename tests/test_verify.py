@@ -129,8 +129,8 @@ def test_verify_conjecture_worker_count_does_not_change_content(monkeypatch, poo
 
     monkeypatch.setattr(verify_mod, "_window_counts", one_more_at_multiples_of_seven)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    reports = [verify_conjecture(SweepRange(1, 10000, w)) for w in (1, 2, 3)]
-    assert pool_sizes == [2, 3]
+    reports = [verify_conjecture(SweepRange(1, 10000, w)) for w in (1, 2, 3, 4)]
+    assert pool_sizes == [2, 3, 4]
     first = reports[0].mismatches
     assert len(first) == MAX_MISMATCHES
     assert [m.n for m in first] == list(range(7, 7 * MAX_MISMATCHES + 1, 7))
@@ -138,6 +138,41 @@ def test_verify_conjecture_worker_count_does_not_change_content(monkeypatch, poo
     for report in reports:
         assert report.checked == 10000
         assert report.mismatches == first
+
+
+def test_conjecture_part_compares_every_n_and_keeps_the_first_mismatches(monkeypatch):
+    calls = 0
+
+    def wrong_count(shape):
+        nonlocal calls
+        calls += 1
+        return 99
+
+    monkeypatch.setattr(verify_mod, "_count", wrong_count)
+    part = verify_mod._conjecture_part(range(1, 5001))
+    assert calls == 5000
+    assert part == [(n, 99, c) for n, c in zip(range(1, MAX_MISMATCHES + 1),
+                                                _window_counts(1, MAX_MISMATCHES))]
+
+
+def test_verify_conjecture_over_a_real_pool_matches_in_process(monkeypatch):
+    # Three segments on two processes: the parts travel back through the pool
+    # and are drained in order while it is open.
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify_mod, "_SEGMENT", 1000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    pooled = verify_conjecture(SweepRange(1, 3000, 2))
+    alone = verify_conjecture(SweepRange(1, 3000, 1))
+    assert sizes == [2]
+    assert pooled.ok and pooled.checked == 3000
+    assert pooled[1:3] == alone[1:3]
 
 
 def test_verify_conjecture_starts_no_more_processes_than_chunks(monkeypatch, pool_sizes):
@@ -214,6 +249,15 @@ class _CountingResidues(frozenset):
     def __contains__(self, residue):
         self.lookups += 1
         return super().__contains__(residue)
+
+
+def test_residue_misses_past_the_cap_are_walked_but_not_worded(monkeypatch):
+    counting = _CountingResidues()
+    counting.lookups = 0
+    monkeypatch.setattr(verify_mod, "_GOOD_RESIDUES", counting)
+    monkeypatch.setattr(verify_mod, "_report", lambda sweep, checked, found, start: list(found))
+    assert len(verify_mod.verify_residues(100)) == MAX_MISMATCHES
+    assert counting.lookups == 101 * 102 // 2
 
 
 @pytest.mark.parametrize("good, limit, total", [
@@ -311,6 +355,32 @@ def test_verify_prime_theorems_counts_from_the_lattice_window(monkeypatch):
         verify_mod.Mismatch(7, "count formula 1", "2 enumerated"),
         verify_mod.Mismatch(7, "exactly one representation", "2 enumerated"),
     ]
+
+
+@pytest.mark.parametrize("faulted, expected", [((), []), ((1999, 2003), [
+    verify_mod.Mismatch(1999, "count formula 1", "2 enumerated"),
+    verify_mod.Mismatch(1999, "exactly one representation", "2 enumerated"),
+    verify_mod.Mismatch(2003, "count formula 0", "1 enumerated"),
+    verify_mod.Mismatch(2003, "no representations for a residual prime", "1 enumerated"),
+])])
+def test_verify_prime_theorems_across_segment_boundaries(monkeypatch, faulted, expected):
+    # 1999 ends the segment [1000, 1999] and 2003 sits in the next one, so a
+    # count read at a wrong offset into its segment shows up as a mismatch.
+    window_counts = verify_mod._window_counts
+
+    def one_more_at_faulted(lo, hi):
+        counts = window_counts(lo, hi)
+        for p in faulted:
+            if lo <= p <= hi:
+                counts[p - lo] += 1
+        return counts
+
+    monkeypatch.setattr(verify_mod, "_window_counts", one_more_at_faulted)
+    whole = verify_prime_theorems(20000)
+    monkeypatch.setattr(verify_mod, "_SEGMENT", 1000)
+    cut = verify_prime_theorems(20000)
+    assert whole.checked == cut.checked == 2262
+    assert cut.mismatches == whole.mismatches == expected
 
 
 def test_verify_prime_theorems_requires_a_canonical_construction(monkeypatch):
