@@ -99,6 +99,12 @@ def _window_factors(lo: int, hi: int) -> Iterator[list[tuple[int, int]]]:
 _TRIAL_PRIMES = _sieve(0, 1000)
 _TRIAL_COVERED = 1009 * 1009  # anything below this is fully split by trial division
 
+# The trial primes in runs of 32, each with the product of its run: one gcd
+# with that product names every prime of the run that divides n. One product
+# of all 168 primes would cost more on smooth n, where the big gcd buys nothing.
+_TRIAL_BLOCKS = tuple((run, prod(run)) for run in
+                      (_TRIAL_PRIMES[i:i + 32] for i in range(0, len(_TRIAL_PRIMES), 32)))
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact over the whole 64-bit range."""
@@ -185,19 +191,32 @@ def _trial_part(n: int) -> tuple[list[tuple[int, int]], int]:
     """The prime powers of n below 1000, ascending, and the cofactor m they leave.
 
     Every prime factor of m is larger than each prime listed, so the list
-    followed by _cofactor_factors(m) is factor(n).
+    followed by _cofactor_factors(m) is factor(n). Run by run of
+    _TRIAL_BLOCKS, g = gcd(n, product of the run) is the product of the run's
+    primes that divide n: a run with g = 1 is skipped unread, and a run is
+    scanned only until its g is used up. Once the first prime of a run
+    squared passes n, what is left is 1 or a prime.
     """
     _require_positive_u64("n", n)
     small: list[tuple[int, int]] = []
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
+    for run, product in _TRIAL_BLOCKS:
+        if run[0] * run[0] > n:
             break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
+        g = gcd(n, product)
+        if g == 1:
+            continue
+        for p in run:
+            if g % p:
+                continue
+            n //= p
+            e = 1
+            while not n % p:
                 n //= p
                 e += 1
             small.append((p, e))
+            g //= p
+            if g == 1:
+                break
     return small, n
 
 

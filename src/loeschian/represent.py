@@ -231,17 +231,21 @@ def rational_lift(alpha: Fraction, beta: Fraction) -> tuple[int, Representation]
 
     For nonnegative rationals with a^2 + ab + b^2 an integer n, n is a value
     of the form over the rationals and hence over the integers; the witness
-    is the one is_loeschian builds for n.
+    is the one is_loeschian builds for n. With alpha = x/u and beta = y/v the
+    value is (x^2 v^2 + xu yv + y^2 u^2) / (uv)^2, taken in integers.
     """
     if alpha < 0 or beta < 0:
         raise ValueError(f"rational pair ({alpha}, {beta}) must be nonnegative")
     for name, part in (("alpha", alpha), ("beta", beta)):
         if part.numerator > U64_MAX or part.denominator > U64_MAX:
             raise ValueError(f"{name}={part} is outside the supported range")
-    value = alpha * alpha + alpha * beta + beta * beta
-    if value.denominator != 1:
-        raise ValueError(f"form value {value} is not an integer")
-    n = value.numerator
+    xv = alpha.numerator * beta.denominator
+    yu = beta.numerator * alpha.denominator
+    uv = alpha.denominator * beta.denominator
+    top, bottom = xv * xv + xv * yu + yu * yu, uv * uv
+    n, rest = divmod(top, bottom)
+    if rest:
+        raise ValueError(f"form value {Fraction(top, bottom)} is not an integer")
     if n > U64_MAX:
         raise OverflowError(f"form value {n} exceeds the 64-bit range")
     rep = is_loeschian(n).witness

@@ -87,3 +87,16 @@ def factor_with_table(n, spf):
             e += 1
         out.append((p, e))
     return out
+
+
+def trial_divide(n, primes):
+    """The prime powers (p, e) of n over primes, one division loop per prime, and the rest."""
+    powers = []
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            powers.append((p, e))
+    return powers, n

@@ -1,4 +1,4 @@
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from random import Random
 
 import pytest
@@ -22,9 +22,10 @@ from loeschian import (
     is_prime,
     represent_fast,
 )
-from loeschian.factorize import _BLOCK, _primes_upto, _rho_split, _sieve, _window_factors
+from loeschian.factorize import (_BLOCK, _TRIAL_BLOCKS, _TRIAL_PRIMES, _primes_upto, _rho_split,
+                                 _sieve, _trial_part, _window_factors)
 from loeschian.verify import CONJECTURE_LIMIT, _SEGMENT
-from oracles import factor_with_table, sieve_primes, smallest_factor_table
+from oracles import factor_with_table, sieve_primes, smallest_factor_table, trial_divide
 
 # The distinct psi_k of OEIS A014233 below 2^64: psi_k is the smallest strong
 # pseudoprime to each of the first k prime bases (psi_7 = psi_8 and
@@ -188,6 +189,85 @@ def test_factor_matches_sympy_on_hard_composites():
     for _ in range(5):
         p = sympy.nextprime(rng.randrange(2**29, 2**31))
         assert factor(p * p) == [(p, 2)]
+
+
+# The last prime of each run of _TRIAL_BLOCKS next to the first of the next one.
+RUN_EDGES = ((131, 137), (311, 313), (503, 509), (719, 727), (941, 947))
+
+
+def _trial_cases():
+    rng = Random(61)
+    small = sieve_primes(1000)
+    cases = [1, 2, 3, 4, 997, 137**2, 313**2, 997**2, 997 * 1009, 1009**2, 2**63, U64_MAX,
+             U64_MAX - 58, 2**32 * 997**3, 3**40]
+    for p, q in RUN_EDGES:
+        cases += [p * q, p**2 * q, p * q**3, p * q * 1009, p**3 * q**2 * 1013,
+                  p * q * (2**31 - 1), 2 * q, q * q, p * p * 1009]
+    cases.append(997 * 1009 * 1013)
+    for _ in range(300):
+        n = 1  # smooth: primes below 1000 up to a random bit length
+        bound = 2 ** rng.randint(8, 64)
+        while n * (p := rng.choice(small)) < bound:
+            n *= p
+        cases.append(n)
+        # mixed: two small prime powers times one larger cofactor
+        head = rng.choice(small) ** rng.randint(1, 4) * rng.choice(small)
+        cases.append(head * rng.randrange(1009, U64_MAX // head))
+        cases.append(rng.randrange(1, U64_MAX + 1))
+    return cases
+
+
+def test_trial_part_matches_a_per_prime_loop():
+    trial_primes = sieve_primes(1000)
+    for n in _trial_cases():
+        small, m = _trial_part(n)
+        powers, rest = trial_divide(n, trial_primes)
+        # The listed powers are exact, ascending, and a prefix of the loop's.
+        assert small == powers[: len(small)], n
+        for p, e in small:
+            assert n % p**e == 0 and n % p ** (e + 1), (n, p)
+        assert prod(p**e for p, e in small) * m == n, n
+        # The powers the early exit leaves in m are all it holds besides the loop's rest.
+        assert prod(p**e for p, e in powers[len(small):]) * rest == m, n
+        if small and m > 1:
+            assert min(sympy.primefactors(m)) > small[-1][0], n
+        assert factor(n) == sorted(sympy.factorint(n).items()), n
+
+
+def test_trial_part_reads_only_runs_that_share_a_prime_with_n(monkeypatch):
+    # A run and its product: the runs concatenate to the trial primes, in order.
+    assert [p for run, _ in _TRIAL_BLOCKS for p in run] == list(_TRIAL_PRIMES)
+    assert all(len(run) == 32 for run, _ in _TRIAL_BLOCKS[:-1])
+    for run, product in _TRIAL_BLOCKS:
+        total = 1
+        for p in run:
+            total *= p
+        assert product == total
+
+    read = []
+
+    class CountingRun(tuple):
+        def __iter__(self):
+            for p in tuple.__iter__(self):
+                read.append(p)
+                yield p
+
+    monkeypatch.setattr(factorize_mod, "_TRIAL_BLOCKS",
+                        tuple((CountingRun(run), product) for run, product in _TRIAL_BLOCKS))
+    # No prime below 1000 divides these, so every run's gcd is 1 and none is read.
+    for n in (1009 * 1013, U64_MAX - 58, 1000003**3):
+        assert _trial_part(n) == ([], n)
+    assert read == []
+    # A run is read only up to its last prime that divides n.
+    assert _trial_part(2 * 3 * 1009 * 1013) == ([(2, 1), (3, 1)], 1009 * 1013)
+    assert read == [2, 3]
+    read.clear()
+    assert _trial_part(313**2 * 317 * 1009**3) == ([(313, 2), (317, 1)], 1009**3)
+    assert read == [313, 317]
+    read.clear()
+    # The square of a run's first prime passing the cofactor ends the division.
+    assert _trial_part(131 * 137) == ([(131, 1)], 137)
+    assert read == list(_TRIAL_BLOCKS[0][0])
 
 
 def test_factor_is_deterministic_and_seed_independent_in_value():

@@ -10,6 +10,7 @@ import loeschian.represent as represent_mod
 from loeschian import (
     NotRepresentableError,
     Representation,
+    U64_MAX,
     count_formula,
     cube_root_unity,
     divide_by_square,
@@ -270,6 +271,11 @@ def test_divide_by_square_zero_quotient():
 def test_rational_lift_known_values():
     assert rational_lift(Fraction(5, 7), Fraction(3, 7)) == (1, (1, 0))
     assert rational_lift(Fraction(2), Fraction(1)) == (7, (2, 1))
+    # Plain ints are rationals too.
+    assert rational_lift(2, 1) == (7, (2, 1))
+    assert rational_lift(0, 0) == (0, (0, 0))
+    assert rational_lift(Fraction(3), 5) == (49, (7, 0))
+    assert rational_lift(2**32 - 1, 0) == ((2**32 - 1) ** 2, (2**32 - 1, 0))
     # Value-1 points whose denominator product passes 2^64.
     for u, v in ((2**20 + 1, 2**20 + 7), (999983, 1000003), (1234567, 1234571)):
         d = u * u + u * v + v * v
@@ -277,11 +283,66 @@ def test_rational_lift_known_values():
         assert rational_lift(*point) == (1, (1, 0))
 
 
+def _raises(exc, text, *point):
+    with pytest.raises(exc) as caught:
+        rational_lift(*point)
+    assert type(caught.value) is exc
+    assert str(caught.value) == text
+
+
 def test_rational_lift_errors():
-    with pytest.raises(ValueError):
-        rational_lift(Fraction(1, 2), Fraction(5, 2))
-    with pytest.raises(ValueError):
-        rational_lift(Fraction(-1, 7), Fraction(3, 7))
+    # Exact class and text of each error, in the order the checks run.
+    big = 2**64
+    _raises(ValueError, "rational pair (-1/7, 3/7) must be nonnegative", Fraction(-1, 7), Fraction(3, 7))
+    _raises(ValueError, "rational pair (1, -3) must be nonnegative", 1, -3)
+    # The sign is checked before the range.
+    _raises(ValueError, f"rational pair (-{big}, 1) must be nonnegative", Fraction(-big), 1)
+    _raises(ValueError, f"alpha={big}/3 is outside the supported range", Fraction(big, 3), Fraction(1))
+    _raises(ValueError, f"alpha=1/{big} is outside the supported range", Fraction(1, big), Fraction(1))
+    _raises(ValueError, f"beta={big}/3 is outside the supported range", Fraction(1), Fraction(big, 3))
+    _raises(ValueError, f"beta=1/{big} is outside the supported range", Fraction(1), Fraction(1, big))
+    _raises(ValueError, f"alpha={big} is outside the supported range", big, 0)
+    _raises(ValueError, "form value 31/4 is not an integer", Fraction(1, 2), Fraction(5, 2))
+    _raises(ValueError, "form value 3/4 is not an integer", Fraction(1, 2), Fraction(1, 2))
+    top = big - 1
+    _raises(OverflowError, f"form value {3 * top * top} exceeds the 64-bit range", top, top)
+    _raises(OverflowError, f"form value {big} exceeds the 64-bit range", Fraction(2**32), Fraction(0))
+
+
+def _chord_point(rng, bits):
+    """A point of value 1 on the chord through (-1, 0) with slope u/v; denominators pass 2^(2 bits)."""
+    u, v = rng.randrange(1, 2**bits), rng.randrange(1, 2**bits)
+    u, v = min(u, v), max(u, v)
+    d = u * u + u * v + v * v
+    return Fraction(v * v - u * u, d), Fraction(u * (2 * v + u), d)
+
+
+def test_rational_lift_matches_fraction_arithmetic():
+    rng = Random(67)
+    points = []
+    for _ in range(400):
+        points.append(_chord_point(rng, rng.choice((8, 17, 24, 31))))
+        k = rng.randrange(1, 2**16)
+        x, y = _chord_point(rng, 17)
+        points.append((k * x, k * y))  # value k^2
+        points.append((Fraction(rng.randrange(0, 2**20), rng.randrange(1, 2**20)),
+                       Fraction(rng.randrange(0, 2**20), rng.randrange(1, 2**20))))
+        points.append((Fraction(rng.randrange(0, 2**40), rng.choice((1, 2, 3, 7))),
+                       Fraction(rng.randrange(0, 2**40), rng.choice((1, 2, 3, 7)))))
+    large_denominators = lifted = 0
+    for alpha, beta in points:
+        value = alpha * alpha + alpha * beta + beta * beta
+        large_denominators += alpha.denominator * beta.denominator > 2**64
+        if value.denominator != 1:
+            _raises(ValueError, f"form value {value} is not an integer", alpha, beta)
+        elif value > U64_MAX:
+            _raises(OverflowError, f"form value {value} exceeds the 64-bit range", alpha, beta)
+        else:
+            n, rep = rational_lift(alpha, beta)
+            assert n == value and type(n) is int
+            assert rep == is_loeschian(n).witness and evaluate(*rep) == n
+            lifted += 1
+    assert large_denominators > 100 and lifted >= 800
 
 
 def test_rational_lift_on_constructed_points():
