@@ -5,22 +5,21 @@ from collections.abc import Iterator
 from enum import Enum
 from itertools import compress
 from math import gcd, isqrt, prod
-from random import Random
 from typing import NamedTuple
 
 from .forms import _require_positive_u64, _require_u64
 
-# Witness set proven complete for every n below 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BASES_PRODUCT = prod(_MR_BASES)  # 7420738134810: one gcd tests all twelve
 
-# psi_k of OEIS A014233, k = 1..11: the smallest strong pseudoprime to the
+# psi_k of OEIS A014233, k = 1..7: the smallest strong pseudoprime to the
 # first k bases (Jaeschke, Math. Comp. 61, 1993), so below psi_k the first k
-# bases decide. psi_9 = psi_10 = psi_11 stays listed three times, so that
-# bisect sends that number on to all twelve bases.
+# bases decide. From psi_7 up, seven bases found by J. Sinclair (2011) decide
+# every n below 2^64, as checked against the Feitsma-Galway list of base-2
+# strong pseudoprimes; a base sharing a factor with n fails, as it should.
 _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-           341550071728321, 341550071728321, 3825123056546413051,
-           3825123056546413051, 3825123056546413051)
+           341550071728321)
+_MR_WIDE = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 # Default seed for the rho stage; factor() accepts an override.
 RHO_SEED = 0x10E5C41A
@@ -118,7 +117,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in _MR_BASES[:bisect(_MR_PSI, n) + 1]:
+    k = bisect(_MR_PSI, n)
+    for a in _MR_BASES[:k + 1] if k < len(_MR_PSI) else _MR_WIDE:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -131,15 +131,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rho_split(n: int, rng: Random) -> int:
+def _rho_split(n: int, seed: int) -> int:
     """One nontrivial factor of a composite n with no small prime factor.
 
-    Brent's cycle-finding variant of the rho method; parameters are drawn
-    from rng, so a fixed seed makes the whole factorization reproducible.
+    Brent's cycle-finding variant of the rho method on y -> y^2 + c. Attempt
+    i starts at y = 2 with c = 1 + (seed + i) mod (n - 3), so a fixed seed
+    makes the whole factorization reproducible.
     """
     while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
+        y = 2
+        c = 1 + seed % (n - 3)
+        seed += 1
         g = q = r = 1
         x = ys = y
         while g == 1:
@@ -173,18 +175,27 @@ def _rho_split(n: int, rng: Random) -> int:
             return g
 
 
-def _factor_hard(n: int, counts: dict[int, int], seed: int) -> None:
-    if n < _TRIAL_COVERED or is_prime(n):
-        counts[n] = counts.get(n, 0) + 1
-        return
+def _factor_hard(n: int, counts: dict[int, int], seed: int, times: int = 1) -> None:
+    """Add times x each exponent of n to counts, for n a _trial_part cofactor or a factor of one.
+
+    A square's root is factored once, with multiplicity 2 * times. A rho
+    divisor d is factored once, with multiplicity e * times for the largest
+    power d^e that divides n.
+    """
     r = isqrt(n)
-    if r * r == n:  # one isqrt settles a square, where rho would need ~n^(1/4) steps
-        _factor_hard(r, counts, seed)
-        _factor_hard(r, counts, seed)
-        return
-    d = _rho_split(n, Random(seed))
-    _factor_hard(d, counts, seed)
-    _factor_hard(n // d, counts, seed)
+    if r * r == n:  # one isqrt, before any Miller-Rabin, where rho would need ~n^(1/4) steps
+        _factor_hard(r, counts, seed, 2 * times)
+    elif n < _TRIAL_COVERED or is_prime(n):
+        counts[n] = counts.get(n, 0) + times
+    else:
+        d = _rho_split(n, seed)
+        e = 0
+        while not n % d:
+            n //= d
+            e += times
+        _factor_hard(d, counts, seed, e)
+        if n > 1:
+            _factor_hard(n, counts, seed, times)
 
 
 def _trial_part(n: int) -> tuple[list[tuple[int, int]], int]:

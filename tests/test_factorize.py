@@ -1,4 +1,6 @@
+import ast
 from math import gcd, isqrt, prod
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -94,6 +96,63 @@ def test_is_prime_matches_sympy_in_each_base_tier():
         for _ in range(50):
             n = rng.randrange(lo, hi)
             assert is_prime(n) == sympy.isprime(n), n
+
+
+PSI_7 = 341550071728321
+# The prime factors of Sinclair's seven bases, which is_prime runs from psi_7
+# up, that the gcd screen of the first twelve primes leaves, with their bases.
+WIDE_FACTORS = {73: (28178, 450775), 193: (28178,), 407521: (9780504,),
+                299210837: (1795265022,)}
+
+
+def _in_wide_tier(n):
+    return PSI_7 <= n <= U64_MAX
+
+
+def test_is_prime_matches_sympy_in_the_seven_base_tier():
+    rng = Random(2011)
+    probes = [PSI_7, sympy.nextprime(PSI_7), 3825123056546413051, 2**64 - 59]
+    probes += [rng.randrange(PSI_7, 2**64) for _ in range(300)]
+    probes += [sympy.nextprime(rng.randrange(PSI_7, 2**64 - 2**10)) for _ in range(100)]
+    # Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1) with all three factors prime.
+    chernick = []
+    for k in (6400, 60000, 240000):  # 1296 k^3 runs from just above psi_7 to near 2^64
+        found = []
+        while len(found) < 8:
+            k += 1
+            f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            if _in_wide_tier(prod(f)) and all(sympy.isprime(x) for x in f):
+                found.append(prod(f))
+        chernick += found
+    # p(2p - 1) with both factors prime, the shape of many base-2 pseudoprimes.
+    twins = []
+    while len(twins) < 30:
+        q = sympy.nextprime(rng.randrange(13_100_000, 3_037_000_000))
+        if sympy.isprime(2 * q - 1) and _in_wide_tier(q * (2 * q - 1)):
+            twins.append(q * (2 * q - 1))
+    # Primes times a factor of a wide base, so that gcd(base, n) > 1.
+    shared = []
+    for f in WIDE_FACTORS:
+        for _ in range(10):
+            shared.append(f * sympy.nextprime(rng.randrange(-(-PSI_7 // f), U64_MAX // f - 2**12)))
+    assert len(chernick) == 24 and all(map(_in_wide_tier, probes + twins + shared))
+    for n in probes + chernick + twins + shared:
+        assert is_prime(n) == sympy.isprime(n), n
+    assert not any(map(is_prime, chernick + twins + shared))
+
+
+def test_a_wide_base_sharing_a_factor_with_n_rejects_it(monkeypatch):
+    # With the sharing base alone, a^d mod n keeps the common factor, so it is
+    # never 1 or n - 1 and the test says composite; a prime passes every base.
+    rng = Random(2012)
+    primes = [sympy.nextprime(rng.randrange(PSI_7, 2**64 - 2**10)) for _ in range(5)]
+    for f, bases in WIDE_FACTORS.items():
+        composites = [f * sympy.nextprime(rng.randrange(-(-PSI_7 // f), U64_MAX // f - 2**12))
+                      for _ in range(5)]
+        for base in bases:
+            monkeypatch.setattr(factorize_mod, "_MR_WIDE", (base,))
+            assert not any(map(is_prime, composites)), (f, base)
+            assert all(map(is_prime, primes)), base
 
 
 def _factor_lists(lo, hi):
@@ -278,20 +337,15 @@ def test_factor_is_deterministic_and_seed_independent_in_value():
     assert first == sorted(sympy.factorint(n).items())
 
 
-def test_factor_seeds_a_generator_only_for_rho(monkeypatch):
-    built = []
-
-    class CountingRandom(Random):
-        def __init__(self, seed):
-            built.append(seed)
-            super().__init__(seed)
-
-    monkeypatch.setattr(factorize_mod, "Random", CountingRandom)
-    for n in (999983, 997 * 1009, 2 * (2**61 - 1), U64_MAX - 58):
-        factor(n)
-    assert built == []
-    factor(16141829676117908357)
-    assert built and set(built) == {RHO_SEED}
+def test_factorize_imports_nothing_from_random():
+    # Rho takes its start and constant from the seed by integer arithmetic,
+    # so no generator is built and seeded per split.
+    tree = ast.parse(Path(factorize_mod.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "random" not in imported
+    assert factor(16141829676117908357) == [(7, 1), (1073754191, 1), (2147582461, 1)]
 
 
 @pytest.fixture
@@ -300,9 +354,9 @@ def rho_calls(monkeypatch):
     calls = []
     rho_split = factorize_mod._rho_split
 
-    def counting(n, rng):
+    def counting(n, seed):
         calls.append(n)
-        return rho_split(n, rng)
+        return rho_split(n, seed)
 
     monkeypatch.setattr(factorize_mod, "_rho_split", counting)
     return calls
@@ -316,6 +370,61 @@ def test_factor_splits_prime_squares_without_rho(rho_calls):
     p = sympy.nextprime(rng.randrange(2**14, 2**15))
     assert factor(p**4) == [(p, 4)]
     assert rho_calls == []
+
+
+def test_prime_square_tests_its_root_once_and_never_the_square(monkeypatch):
+    tested = []
+    real = factorize_mod.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(factorize_mod, "is_prime", counting)
+    rng = Random(71)
+    for _ in range(10):
+        p = sympy.nextprime(rng.randrange(2**31, 2**32 - 64))
+        tested.clear()
+        assert factor(p * p) == [(p, 2)]
+        assert tested == [p]
+    p = sympy.nextprime(rng.randrange(2**15, 2**16 - 64))
+    tested.clear()
+    assert factor(p**4) == [(p, 4)]
+    assert tested == []  # p < 1009^2 needs no test at all
+
+
+def _three_prime_powers(rng):
+    """p^3 q^2 r below 2^64 for seeded primes 1000 < p < q < r."""
+    while True:
+        p, q, r = sorted(sympy.nextprime(rng.randrange(1000, 2**11)) for _ in range(3))
+        if len({p, q, r}) == 3 and p**3 * q**2 * r <= U64_MAX:
+            return p**3 * q**2 * r
+
+
+def test_rho_divides_out_the_whole_power_of_its_divisor(monkeypatch, rho_calls):
+    rng = Random(73)
+    cases = [_three_prime_powers(rng) for _ in range(40)]
+    for n in cases:
+        assert factor(n) == sorted(sympy.factorint(n).items()), n
+    assert rho_calls and all(isqrt(m) ** 2 != m and not is_prime(m) for m in rho_calls)
+    # Rho answering with the smallest prime: p^3 q^2 r with p < q < r needs
+    # two splits, p^3 off n and then q^2 off q^2 r, where splitting one
+    # prime at a time would take five.
+    monkeypatch.setattr(factorize_mod, "_rho_split",
+                        lambda n, seed: rho_calls.append(n) or min(sympy.primefactors(n)))
+    for n in cases:
+        rho_calls.clear()
+        assert factor(n) == sorted(sympy.factorint(n).items()), n
+        assert len(rho_calls) <= 2, n
+    # Rho answering with a composite divisor: its power in n is still divided
+    # out whole, and the divisor is split in turn with that multiplicity.
+    def two_primes(n, seed):
+        d = prod(sympy.primefactors(n)[:2])
+        return d if d < n else min(sympy.primefactors(n))
+
+    monkeypatch.setattr(factorize_mod, "_rho_split", two_primes)
+    for n in cases:
+        assert factor(n) == sorted(sympy.factorint(n).items()), n
 
 
 def test_factor_with_square_parts_matches_sympy(rho_calls):
@@ -408,12 +517,17 @@ def test_answers_that_need_rho_still_match(rho_calls):
     assert general_form(n).scale == 5
 
 
-def _rho_split_one_step(n, rng):
-    """_rho_split with one reduction of q per step; also says whether ys was walked again."""
+def _rho_split_one_step(n, seed):
+    """_rho_split with one reduction of q per step.
+
+    Also says whether ys was walked again and how many attempts it took.
+    """
     rewalked = False
+    attempts = 0
     while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
+        y = 2
+        c = 1 + (seed + attempts) % (n - 3)
+        attempts += 1
         g = q = r = 1
         x = ys = y
         while g == 1:
@@ -436,7 +550,7 @@ def _rho_split_one_step(n, rng):
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
         if g != n:
-            return g, rewalked
+            return g, rewalked, attempts
 
 
 def test_grouped_rho_returns_the_one_step_divisor():
@@ -448,14 +562,15 @@ def test_grouped_rho_returns_the_one_step_divisor():
         cases.append(p * sympy.nextprime(rng.randrange(p, 2**bits)))
     for n in cases:
         for seed in (RHO_SEED, 1, 2):
-            expected, _ = _rho_split_one_step(n, Random(seed))
-            assert _rho_split(n, Random(seed)) == expected, (n, seed)
+            expected, _, _ = _rho_split_one_step(n, seed)
+            assert _rho_split(n, seed) == expected, (n, seed)
     # Found by a search among p * q near 1009 * 1013: at the default seed one
-    # batch takes both primes, its gcd is n, and ys is walked again step by step.
-    n = 1009 * 1019
-    assert _rho_split_one_step(n, Random(RHO_SEED)) == (1019, True)
-    assert _rho_split(n, Random(RHO_SEED)) == 1019
-    assert factor(n) == [(1009, 1), (1019, 1)]
+    # batch takes both primes, its gcd is n, and ys is walked again step by
+    # step; for 1009 * 1249 that walk meets n too, so a second c is tried.
+    for p, q, d, attempts in ((1009, 1013, 1013, 1), (1009, 1249, 1249, 2)):
+        assert _rho_split_one_step(p * q, RHO_SEED) == (d, True, attempts)
+        assert _rho_split(p * q, RHO_SEED) == d
+        assert factor(p * q) == [(p, 1), (q, 1)]
 
 
 @settings(max_examples=200)
