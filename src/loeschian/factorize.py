@@ -106,13 +106,23 @@ _TRIAL_BLOCKS = tuple((run, prod(run)) for run in
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact over the whole 64-bit range."""
+    """Deterministic primality test, exact over the whole 64-bit range.
+
+    Below 1009^2 the gcds with the trial runs decide; Miller-Rabin runs only from there up.
+    """
     _require_u64("n", n)
     if n < 2:
         return False
     if gcd(n, _MR_BASES_PRODUCT) != 1:
         return n in _MR_BASES
     if n < 41 * 41:
+        return True
+    if n < _TRIAL_COVERED:
+        for run, product in _TRIAL_BLOCKS:
+            if run[0] * run[0] > n:
+                break
+            if gcd(n, product) != 1:
+                return False
         return True
     d = n - 1
     r = (d & -d).bit_length() - 1

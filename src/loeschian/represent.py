@@ -7,8 +7,7 @@ from typing import NamedTuple
 
 from .factorize import (RHO_SEED, GeneralForm, _cofactor_factors, _general_form_from,
                         _trial_part, is_prime)
-from .forms import (Representation, U64_MAX, _require_positive_u64, _require_u64,
-                    canonicalize, compose, evaluate)
+from .forms import Representation, U64_MAX, _new_pair, _require_positive_u64, _require_u64, compose
 
 
 class NotRepresentableError(ArithmeticError):
@@ -75,10 +74,12 @@ def _prime_rep(p: int) -> Representation:
     v = isqrt(v2)
     if v * v != v2:
         raise RuntimeError(f"descent for p={p} left (4p - u^2)/3 a non-square")
-    rep = canonicalize((u - v) >> 1, v)
-    if evaluate(rep.a, rep.b) != p:
+    a, b = (u - v) >> 1, v
+    if a < 0:  # the one turn of canonicalize that can apply: both entries become positive
+        a, b = a + b, -a
+    if a * a + a * b + b * b != p:
         raise RuntimeError(f"construction for p={p} failed verification")
-    return rep
+    return _new_pair(Representation, (a, b) if a >= b else (b, a))
 
 
 def _shape(n: int, seed: int = RHO_SEED,
@@ -155,7 +156,7 @@ def is_loeschian(n: int) -> Verdict:
 
 def _construct(shape: GeneralForm, n: int,
                variants: tuple[int, ...] = (2,)) -> list[Representation]:
-    """Representations of n built from its shape, each verified by evaluate.
+    """Representations of n built from its shape, each checked to carry the value n.
 
     Every pair found so far is composed with each split prime's pair once per
     exponent, in each of the variants: variant 2 alone builds one witness,
@@ -171,9 +172,9 @@ def _construct(shape: GeneralForm, n: int,
     for _ in range(shape.power_of_three):
         reps = {compose(r, _REP_THREE, 1) for r in reps}
     s = shape.scale
-    built = [Representation(a * s, b * s) for a, b in reps]
+    built = list(reps) if s == 1 else [_new_pair(Representation, (a * s, b * s)) for a, b in reps]
     for a, b in built:
-        if evaluate(a, b) != n:
+        if a * a + a * b + b * b != n:
             raise RuntimeError(f"constructed representation for {n} failed verification")
     return built
 
@@ -231,24 +232,25 @@ def rational_lift(alpha: Fraction, beta: Fraction) -> tuple[int, Representation]
 
     For nonnegative rationals with a^2 + ab + b^2 an integer n, n is a value
     of the form over the rationals and hence over the integers; the witness
-    is the one is_loeschian builds for n. With alpha = x/u and beta = y/v the
-    value is (x^2 v^2 + xu yv + y^2 u^2) / (uv)^2, taken in integers.
+    is the one is_loeschian builds for n. With alpha = x/u and beta = y/v, every
+    check and the value (x^2 v^2 + xu yv + y^2 u^2) / (uv)^2 are taken in integers.
     """
-    if alpha < 0 or beta < 0:
+    x, u, y, v = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    if x < 0 or y < 0:
         raise ValueError(f"rational pair ({alpha}, {beta}) must be nonnegative")
-    for name, part in (("alpha", alpha), ("beta", beta)):
-        if part.numerator > U64_MAX or part.denominator > U64_MAX:
-            raise ValueError(f"{name}={part} is outside the supported range")
-    xv = alpha.numerator * beta.denominator
-    yu = beta.numerator * alpha.denominator
-    uv = alpha.denominator * beta.denominator
+    if x > U64_MAX or u > U64_MAX:
+        raise ValueError(f"alpha={alpha} is outside the supported range")
+    if y > U64_MAX or v > U64_MAX:
+        raise ValueError(f"beta={beta} is outside the supported range")
+    xv, yu, uv = x * v, y * u, u * v
     top, bottom = xv * xv + xv * yu + yu * yu, uv * uv
     n, rest = divmod(top, bottom)
     if rest:
         raise ValueError(f"form value {Fraction(top, bottom)} is not an integer")
     if n > U64_MAX:
         raise OverflowError(f"form value {n} exceeds the 64-bit range")
-    rep = is_loeschian(n).witness
-    if rep is None:
+    # 0 has the shape 0^2 times the empty product, which _construct builds as (0, 0).
+    shape = _shape(n, obstruction=True) if n else GeneralForm(0, 0, [])
+    if not isinstance(shape, GeneralForm):
         raise RuntimeError(f"form value {n} of a rational point is not representable")
-    return n, rep
+    return n, _construct(shape, n)[0]

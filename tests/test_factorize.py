@@ -73,6 +73,41 @@ def test_is_prime_matches_sieve_to_one_million():
         assert is_prime(n) == (n in flagged)
 
 
+TRIAL_COVERED = 1009 * 1009  # every composite below has a prime factor below 1000
+
+
+def test_is_prime_by_trial_runs_matches_the_sieve():
+    # From 41^2 up to 1009^2 the gcds with the runs of 32 trial primes decide;
+    # the windows cover the first run edges (137^2 = 18769) and the tier's end.
+    flagged = set(sieve_primes(TRIAL_COVERED + 3000))
+    for n in [*range(1600, 21682), *range(TRIAL_COVERED - 3000, TRIAL_COVERED + 3001)]:
+        assert is_prime(n) == (n in flagged), n
+    # 131 ends the first run and 137 starts the second; 991 and 997 sit in the last.
+    assert _TRIAL_BLOCKS[0][0][-1] == 131 and _TRIAL_BLOCKS[1][0][0] == 137
+    assert not any(map(is_prime, (131 * 137, 137 * 137, 991 * 997, 997 * 997)))
+    edges = (137 * 137, 997 * 997, TRIAL_COVERED)
+    assert all(map(is_prime, [*map(sympy.prevprime, edges), *map(sympy.nextprime, edges[:2])]))
+
+
+def test_is_prime_runs_no_miller_rabin_below_the_trial_bound(monkeypatch):
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(factorize_mod, "pow", counting_pow, raising=False)
+    rng = Random(1009)
+    below = [*range(1681, 1800), *range(TRIAL_COVERED - 200, TRIAL_COVERED)]
+    below += [rng.randrange(1681, TRIAL_COVERED) for _ in range(500)]
+    assert sum(map(is_prime, below)) > 50
+    assert calls == []
+    # 1009 * 1013 is the kind of composite the trial runs cannot see.
+    above = [1009 * 1013, sympy.nextprime(TRIAL_COVERED), sympy.nextprime(2**40)]
+    assert [is_prime(n) for n in above] == [False, True, True]
+    assert len(calls) >= 3 and all(n >= TRIAL_COVERED for _, _, n in calls)
+
+
 def test_is_prime_matches_sympy_on_large_values():
     rng = Random(20240817)
     probes = [rng.randrange(2**62, 2**64) for _ in range(300)]

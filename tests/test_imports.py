@@ -90,3 +90,18 @@ def test_only_forms_words_the_64_bit_input_contract():
             if text in node.value
         }
         assert not spelled, f"{path.name} spells {sorted(spelled)} itself"
+
+
+def test_represent_runs_pow_only_in_the_cube_root_search():
+    # _cube_root is the one search for a cube root of unity; a pow call
+    # anywhere else in represent.py would be a second copy of it.
+    path = PACKAGE / "represent.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def pow_calls(root):
+        return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "pow" for node in ast.walk(root))
+
+    [cube_root] = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_cube_root"]
+    assert pow_calls(tree) == pow_calls(cube_root) == 1

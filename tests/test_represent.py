@@ -4,6 +4,7 @@ from math import isqrt, prod
 from random import Random
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import loeschian.represent as represent_mod
@@ -11,6 +12,7 @@ from loeschian import (
     NotRepresentableError,
     Representation,
     U64_MAX,
+    compose,
     count_formula,
     cube_root_unity,
     divide_by_square,
@@ -213,6 +215,106 @@ def test_witness_construction_trusts_the_factorization(monkeypatch):
     assert represent_prime(p).value == p and calls == [p]
 
 
+def _prime_near(rng, lo, hi, residue):
+    """A seeded prime in [lo, hi] congruent to residue (mod 6)."""
+    while True:
+        p = sympy.nextprime(rng.randrange(lo, hi))
+        if p <= hi and p % 6 == residue:
+            return p
+
+
+def _drawn_values(rng):
+    """Seeded n of each kind the benchmark queries, by family."""
+    small = sieve_primes(1000)
+    # Factors that keep a product a value: 3, the split primes, squares of the rest.
+    kept = [p if p % 3 != 2 else p * p for p in small]
+    smooth = []
+    for i in range(30):  # products of primes below 1000, of 20 to 64 bits
+        n, bound, pool = 1, 2 ** rng.randint(20, 64), kept if i % 2 else small
+        while n * (p := rng.choice(pool)) < bound:
+            n *= p
+        smooth.append(n)
+    mixed = []
+    for i in range(30):  # 2, 3 and 10- to 24-bit primes of both classes; every third not a value
+        parts = [(_prime_near(rng, 2**9, 2**16, 5), 1)] if i % 3 == 0 else []
+        parts += [(3, rng.randint(0, 3)), (2, 2 * rng.randint(0, 2))]
+        for residue, e in ((1, rng.randint(1, 2)), (5, 2), (1, rng.randint(1, 2))):
+            parts.append((_prime_near(rng, 2**9, 2 ** rng.randint(10, 24), residue), e))
+        n = 1
+        for p, e in parts:
+            if n * p**e <= U64_MAX:
+                n *= p**e
+        mixed.append(n)
+    powers_of_three = []
+    for _ in range(20):  # 3^k times a smooth or mixed value, or times any m that fits
+        k, m = rng.randint(1, 30), rng.choice(smooth + mixed)
+        if 3**k * m > U64_MAX:
+            m = rng.randrange(1, U64_MAX // 3**k + 1)
+        powers_of_three.append(3**k * m)
+    squares = []
+    for i in range(20):  # k^2 times a value of the form, or times any m that fits
+        k = rng.randrange(2, 2**16)
+        a = rng.randrange(1, isqrt(U64_MAX // (3 * k * k)))
+        m = evaluate(a, rng.randrange(a + 1)) if i % 2 else rng.randrange(1, U64_MAX // (k * k))
+        squares.append(k * k * m)
+    near_top = [U64_MAX - rng.randrange(2**32) for _ in range(10)]
+    for _ in range(10):  # values of the form just below 2^64
+        b = rng.randrange(1, 2**31)
+        a = (isqrt(4 * U64_MAX - 3 * b * b) - b) // 2 - rng.randrange(1000)
+        near_top.append(evaluate(a, b))
+    return {"smooth": smooth, "mixed": mixed, "3^k m": powers_of_three, "k^2 m": squares,
+            "near 2^64": near_top}
+
+
+def _oracle_reps(n, variants):
+    """Pairs of n composed from the public represent_prime and compose, sorted by b.
+
+    With sympy's factorization: each split prime's pair once per exponent, in
+    each of the variants, from (1, 0) over the split primes in ascending
+    order; then (1, 1) once per power of 3; then the scale. None when a prime
+    2 (mod 3) has an odd exponent.
+    """
+    reps, scale, three = {Representation(1, 0)}, 1, 0
+    for p, e in sorted(sympy.factorint(n).items()):
+        if p == 3:
+            three = e
+        elif p % 6 == 1:
+            pair = represent_prime(p)
+            for _ in range(e):
+                reps = {compose(r, pair, v) for r in reps for v in variants}
+        elif e % 2:
+            return None
+        else:
+            scale *= p ** (e // 2)
+    for _ in range(three):
+        reps = {compose(r, Representation(1, 1), 1) for r in reps}
+    return sorted((Representation(a * scale, b * scale) for a, b in reps), key=lambda r: r.b)
+
+
+def test_witnesses_are_the_variant_two_chain_over_the_split_primes():
+    # The CLI prints these witnesses, so which pair each call returns is part
+    # of the contract, not only that it carries the value.
+    seven = represent_prime(7)
+    for family, values in _drawn_values(Random(18)).items():
+        found = 0
+        for n in values:
+            chain = _oracle_reps(n, (2,))
+            if chain is None:
+                assert not is_loeschian(n).representable and represent_fast(n) is None, n
+                assert enumerate_reps(n) == [], n
+                continue
+            [witness] = chain
+            found += 1
+            assert is_loeschian(n).witness == witness, (family, n)
+            assert represent_fast(n) == witness, (family, n)
+            assert rational_lift(witness.b, Fraction(witness.a)) == (n, witness), (family, n)
+            if 49 * n <= U64_MAX:  # the same value at a point with denominator 7
+                x, y = compose(compose(witness, seven, 1), seven, 2)
+                assert rational_lift(Fraction(x, 7), Fraction(y, 7)) == (n, witness), (family, n)
+            assert enumerate_reps(n) == _oracle_reps(n, (1, 2)), (family, n)
+        assert found >= 5, family
+
+
 def test_is_loeschian_known_values():
     verdict = is_loeschian(91)
     assert verdict.representable and verdict.witness == (9, 1)
@@ -276,6 +378,11 @@ def test_rational_lift_known_values():
     assert rational_lift(0, 0) == (0, (0, 0))
     assert rational_lift(Fraction(3), 5) == (49, (7, 0))
     assert rational_lift(2**32 - 1, 0) == ((2**32 - 1) ** 2, (2**32 - 1, 0))
+    assert rational_lift(1, 1) == (3, (1, 1))
+    assert rational_lift(0, 7) == (49, (7, 0))
+    assert rational_lift(Fraction(0), 0) == (0, (0, 0))
+    assert rational_lift(0, Fraction(0, 5)) == (0, (0, 0))
+    assert rational_lift(Fraction(-0, 3), Fraction(0)) == (0, (0, 0))
     # Value-1 points whose denominator product passes 2^64.
     for u, v in ((2**20 + 1, 2**20 + 7), (999983, 1000003), (1234567, 1234571)):
         d = u * u + u * v + v * v
@@ -297,6 +404,10 @@ def test_rational_lift_errors():
     _raises(ValueError, "rational pair (1, -3) must be nonnegative", 1, -3)
     # The sign is checked before the range.
     _raises(ValueError, f"rational pair (-{big}, 1) must be nonnegative", Fraction(-big), 1)
+    # A negative part whose denominator is out of range too breaks the sign rule first.
+    _raises(ValueError, f"rational pair (-1/{big}, 1) must be nonnegative", Fraction(-1, big), 1)
+    _raises(ValueError, f"rational pair (1/{big}, -3/{big}) must be nonnegative",
+            Fraction(1, big), Fraction(-3, big))
     _raises(ValueError, f"alpha={big}/3 is outside the supported range", Fraction(big, 3), Fraction(1))
     _raises(ValueError, f"alpha=1/{big} is outside the supported range", Fraction(1, big), Fraction(1))
     _raises(ValueError, f"beta={big}/3 is outside the supported range", Fraction(1), Fraction(big, 3))
