@@ -1,7 +1,7 @@
 """Deterministic primality, factorization, and prime classification for 64-bit inputs."""
 
 from bisect import bisect
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import compress
 from math import gcd, isqrt, prod
@@ -9,8 +9,7 @@ from typing import NamedTuple
 
 from .forms import _require_positive_u64, _require_u64
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BASES_PRODUCT = prod(_MR_BASES)  # 7420738134810: one gcd tests all twelve
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 
 # psi_k of OEIS A014233, k = 1..7: the smallest strong pseudoprime to the
 # first k bases (Jaeschke, Math. Comp. 61, 1993), so below psi_k the first k
@@ -108,21 +107,18 @@ _TRIAL_BLOCKS = tuple((run, prod(run)) for run in
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact over the whole 64-bit range.
 
-    Below 1009^2 the gcds with the trial runs decide; Miller-Rabin runs only from there up.
+    The first trial run's gcd screens every n; below 1009^2 the later runs decide, and from
+    there up Miller-Rabin does.
     """
     _require_u64("n", n)
-    if n < 2:
-        return False
-    if gcd(n, _MR_BASES_PRODUCT) != 1:
-        return n in _MR_BASES
-    if n < 41 * 41:
-        return True
-    if n < _TRIAL_COVERED:
-        for run, product in _TRIAL_BLOCKS:
-            if run[0] * run[0] > n:
-                break
-            if gcd(n, product) != 1:
-                return False
+    for run, product in _TRIAL_BLOCKS:
+        if run[0] * run[0] > n:
+            return n > 1
+        if gcd(n, product) != 1:
+            return n in run
+        if n >= _TRIAL_COVERED:
+            break
+    else:
         return True
     d = n - 1
     r = (d & -d).bit_length() - 1
@@ -241,12 +237,12 @@ def _trial_part(n: int) -> tuple[list[tuple[int, int]], int]:
     return small, n
 
 
-def _cofactor_factors(m: int, seed: int) -> list[tuple[int, int]]:
-    """factor of a cofactor left by _trial_part, by the square test, Miller-Rabin and rho."""
-    counts: dict[int, int] = {}
+def _cofactor_factors(m: int, seed: int) -> Iterator[tuple[int, int]]:
+    """factor of a _trial_part cofactor by _factor_hard; no work until its first item is read."""
     if m > 1:
+        counts: dict[int, int] = {}
         _factor_hard(m, counts, seed)
-    return sorted(counts.items())
+        yield from sorted(counts.items())
 
 
 def factor(n: int, seed: int = RHO_SEED) -> list[tuple[int, int]]:
@@ -255,7 +251,7 @@ def factor(n: int, seed: int = RHO_SEED) -> list[tuple[int, int]]:
     factor(1) is the empty list. Output is deterministic for a fixed seed.
     """
     small, m = _trial_part(n)
-    return small + _cofactor_factors(m, seed)
+    return [*small, *_cofactor_factors(m, seed)]
 
 
 class PrimeClass(Enum):
@@ -289,7 +285,7 @@ class GeneralForm(NamedTuple):
     primes: list[tuple[int, int]]
 
 
-def _general_form_from(factors: list[tuple[int, int]]) -> GeneralForm | tuple[int, int]:
+def _general_form_from(factors: Iterable[tuple[int, int]]) -> GeneralForm | tuple[int, int]:
     """The shape of a factorization, or its first residual prime with odd exponent as (p, e)."""
     scale = 1
     power_of_three = 0

@@ -1,6 +1,7 @@
 """Deciding which integers the form a^2 + ab + b^2 attains, and finding witnesses."""
 
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple
@@ -16,6 +17,7 @@ class NotRepresentableError(ArithmeticError):
 
 _REP_ONE = Representation(1, 0)
 _REP_THREE = Representation(1, 1)
+_ZERO_SHAPE = GeneralForm(0, 0, [])  # 0 = 0^2 times the empty product, built as (0, 0)
 
 
 def cube_root_unity(p: int) -> int:
@@ -83,27 +85,24 @@ def _prime_rep(p: int) -> Representation:
 
 
 def _shape(n: int, seed: int = RHO_SEED,
-           obstruction: bool = False) -> GeneralForm | tuple[int, int] | None:
+           obstruction: bool = False) -> GeneralForm | tuple[int, int]:
     """_general_form_from(factor(n, seed)), factoring only as far as the answer needs.
 
     A residual prime with odd exponent among the prime powers below 1000 is
     the first obstruction, since every prime of the cofactor m they leave is
-    larger, so m is not factored. Otherwise, unless the obstruction is asked
-    for, the result is None when m = 2 (mod 3): m holds no 3, so m mod 3 is
-    (-1) to the total exponent of its primes 2 (mod 3), and one of them has
-    an odd exponent. Only an m that neither rule decides goes to rho.
+    larger, so the lazy factors of m are never read. Unless the obstruction is
+    asked for, an m = 2 (mod 3) stands in as (m, 1): m holds no 3, so m mod 3 is
+    (-1) to the total exponent of its primes 2 (mod 3), and one of them has an
+    odd exponent. (m, 1) is an obstruction whose m need not be prime, so only
+    callers that test for a GeneralForm take it. Other m go to rho.
     """
     small, m = _trial_part(n)
-    shape = _general_form_from(small)
-    if m == 1 or not isinstance(shape, GeneralForm):
-        return shape
-    if m % 3 == 2 and not obstruction:
-        return None
-    return _general_form_from(small + _cofactor_factors(m, seed))
+    rest = [(m, 1)] if m % 3 == 2 and not obstruction else _cofactor_factors(m, seed)
+    return _general_form_from(chain(small, rest))
 
 
 def general_form(n: int, seed: int = RHO_SEED) -> GeneralForm | None:
-    """Split n into the representable shape, or None when a residual prime has odd exponent."""
+    """Split n into the representable shape, or None in place of _shape's obstruction."""
     shape = _shape(n, seed)
     return shape if isinstance(shape, GeneralForm) else None
 
@@ -118,9 +117,7 @@ def enumerate_reps(n: int) -> list[Representation]:
     plus a few compositions per representation, not an O(sqrt n) scan.
     """
     _require_u64("n", n)
-    if n == 0:
-        return [Representation(0, 0)]
-    shape = general_form(n)
+    shape = general_form(n) if n else _ZERO_SHAPE
     if shape is None:
         return []
     return sorted(_construct(shape, n, (1, 2)), key=itemgetter(1))
@@ -146,9 +143,7 @@ def is_loeschian(n: int) -> Verdict:
     prime with an odd power; one below 1000 is found without rho.
     """
     _require_u64("n", n)
-    if n == 0:
-        return Verdict(True, witness=Representation(0, 0))
-    shape = _shape(n, obstruction=True)
+    shape = _shape(n, obstruction=True) if n else _ZERO_SHAPE
     if not isinstance(shape, GeneralForm):
         return Verdict(False, obstruction=shape)
     return Verdict(True, witness=_construct(shape, n)[0])
@@ -199,8 +194,8 @@ def count_formula(n: int) -> int:
     return _count(_shape(n))
 
 
-def _count(shape: GeneralForm | tuple[int, int] | None) -> int:
-    """The count_formula rule on a _general_form_from or _shape result; any other counts 0."""
+def _count(shape: GeneralForm | tuple[int, int]) -> int:
+    """The count_formula rule on a _general_form_from or _shape result; an obstruction counts 0."""
     if not isinstance(shape, GeneralForm):
         return 0
     product = 1
@@ -249,8 +244,7 @@ def rational_lift(alpha: Fraction, beta: Fraction) -> tuple[int, Representation]
         raise ValueError(f"form value {Fraction(top, bottom)} is not an integer")
     if n > U64_MAX:
         raise OverflowError(f"form value {n} exceeds the 64-bit range")
-    # 0 has the shape 0^2 times the empty product, which _construct builds as (0, 0).
-    shape = _shape(n, obstruction=True) if n else GeneralForm(0, 0, [])
-    if not isinstance(shape, GeneralForm):
+    shape = general_form(n) if n else _ZERO_SHAPE
+    if shape is None:
         raise RuntimeError(f"form value {n} of a rational point is not representable")
     return n, _construct(shape, n)[0]

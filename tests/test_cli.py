@@ -419,6 +419,26 @@ def test_installed_script_matches_in_process_output(capsys):
     assert result.stdout == out
 
 
+def test_console_script_entry_matches_in_process_output(capsys):
+    # The [project.scripts] entry is what an installed loeschian script
+    # calls; run it the same way with only src on the import path, so a
+    # broken entry fails here even where nothing is installed.
+    tomllib = pytest.importorskip("tomllib")
+    src = Path(loeschian.__file__).parents[1]
+    project = tomllib.loads((src.parent / "pyproject.toml").read_text())["project"]
+    module, function = project["scripts"]["loeschian"].split(":")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    result = subprocess.run(
+        [sys.executable, "-c", script, "represent", "91", "--all", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    _, out, _ = invoke(capsys, "represent", "91", "--all", "--json")
+    assert result.stdout == out
+
+
 @pytest.mark.parametrize("module", ["loeschian", "loeschian.cli"])
 def test_python_dash_m_matches_in_process_output(capsys, module):
     # The package and the cli module both run the CLI under `python -m`,

@@ -24,8 +24,8 @@ from loeschian import (
     is_prime,
     represent_fast,
 )
-from loeschian.factorize import (_BLOCK, _TRIAL_BLOCKS, _TRIAL_PRIMES, _primes_upto, _rho_split,
-                                 _sieve, _trial_part, _window_factors)
+from loeschian.factorize import (_BLOCK, _MR_BASES, _MR_PSI, _TRIAL_BLOCKS, _TRIAL_PRIMES,
+                                 _primes_upto, _rho_split, _sieve, _trial_part, _window_factors)
 from loeschian.verify import CONJECTURE_LIMIT, _SEGMENT
 from oracles import factor_with_table, sieve_primes, smallest_factor_table, trial_divide
 
@@ -54,16 +54,46 @@ def test_is_prime_edges():
         is_prime(U64_MAX + 1)
 
 
-def test_is_prime_around_the_base_gcd():
-    # One gcd with the product of the twelve bases stands in for twelve
-    # divisibility tests: a shared factor means prime exactly at a base.
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """Count the pow calls in factorize, one per Miller-Rabin base, which still do their work."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(factorize_mod, "pow", counting_pow, raising=False)
+    return calls
+
+
+def test_is_prime_around_the_base_gcd(pow_calls):
+    # One gcd with the product of the first trial run, the 32 primes 2..131,
+    # screens every n: a shared factor means prime exactly when n is one of them.
+    first = _TRIAL_BLOCKS[0][0]
+    assert first == tuple(sieve_primes(131))
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     product = 7420738134810
     assert [is_prime(n) for n in (0, 1, 41, 1681, 41 * 43, product)] == [
         False, False, True, False, False, False]
     assert all(is_prime(p) for p in bases)
     assert not any(is_prime(p * q) for p in bases for q in bases)
-    assert is_prime(2**64 - 59)
+    assert all(map(is_prime, first))
+    assert not any(is_prime(p * q) for p in first for q in first)
+    # From 1009^2 up the screen still refuses a multiple of a first-run prime,
+    # also of one that is no Miller-Rabin base, before any base runs.
+    rng = Random(4131)
+    multiples = []
+    for q in (41, 131):
+        lo = -(-TRIAL_COVERED // q)
+        for _ in range(20):
+            p = sympy.nextprime(rng.randrange(lo, 2 ** rng.randint(lo.bit_length() + 1, 56)))
+            multiples.append(q * p)
+    assert all(TRIAL_COVERED <= n <= U64_MAX for n in multiples)
+    assert not any(map(is_prime, multiples)) and pow_calls == []
+    assert is_prime(2**64 - 59) and pow_calls
+    # Each psi tier reads the first k + 1 bases, so a base past the last tier is never run.
+    assert len(_MR_BASES) == len(_MR_PSI)
 
 
 def test_is_prime_matches_sieve_to_one_million():
@@ -89,23 +119,16 @@ def test_is_prime_by_trial_runs_matches_the_sieve():
     assert all(map(is_prime, [*map(sympy.prevprime, edges), *map(sympy.nextprime, edges[:2])]))
 
 
-def test_is_prime_runs_no_miller_rabin_below_the_trial_bound(monkeypatch):
-    calls = []
-
-    def counting_pow(*args):
-        calls.append(args)
-        return pow(*args)
-
-    monkeypatch.setattr(factorize_mod, "pow", counting_pow, raising=False)
+def test_is_prime_runs_no_miller_rabin_below_the_trial_bound(pow_calls):
     rng = Random(1009)
     below = [*range(1681, 1800), *range(TRIAL_COVERED - 200, TRIAL_COVERED)]
     below += [rng.randrange(1681, TRIAL_COVERED) for _ in range(500)]
     assert sum(map(is_prime, below)) > 50
-    assert calls == []
+    assert pow_calls == []
     # 1009 * 1013 is the kind of composite the trial runs cannot see.
     above = [1009 * 1013, sympy.nextprime(TRIAL_COVERED), sympy.nextprime(2**40)]
     assert [is_prime(n) for n in above] == [False, True, True]
-    assert len(calls) >= 3 and all(n >= TRIAL_COVERED for _, _, n in calls)
+    assert len(pow_calls) >= 3 and all(n >= TRIAL_COVERED for _, _, n in pow_calls)
 
 
 def test_is_prime_matches_sympy_on_large_values():
@@ -134,8 +157,9 @@ def test_is_prime_matches_sympy_in_each_base_tier():
 
 
 PSI_7 = 341550071728321
-# The prime factors of Sinclair's seven bases, which is_prime runs from psi_7
-# up, that the gcd screen of the first twelve primes leaves, with their bases.
+# The prime factors above 37 of Sinclair's seven bases, which is_prime runs
+# from psi_7 up, with their bases. The first-run screen refuses a multiple of
+# 73 before any base runs; multiples of the others reach the bases.
 WIDE_FACTORS = {73: (28178, 450775), 193: (28178,), 407521: (9780504,),
                 299210837: (1795265022,)}
 

@@ -92,16 +92,27 @@ def test_only_forms_words_the_64_bit_input_contract():
         assert not spelled, f"{path.name} spells {sorted(spelled)} itself"
 
 
-def test_represent_runs_pow_only_in_the_cube_root_search():
-    # _cube_root is the one search for a cube root of unity; a pow call
-    # anywhere else in represent.py would be a second copy of it.
+def _calls_in_represent(name, function):
+    """How often represent.py calls name: in the whole module, and in its top-level function."""
     path = PACKAGE / "represent.py"
     tree = ast.parse(path.read_text(), filename=str(path))
 
-    def pow_calls(root):
+    def calls(root):
         return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                   and node.func.id == "pow" for node in ast.walk(root))
+                   and node.func.id == name for node in ast.walk(root))
 
-    [cube_root] = [node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "_cube_root"]
-    assert pow_calls(tree) == pow_calls(cube_root) == 1
+    [body] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    return calls(tree), calls(body)
+
+
+def test_represent_runs_pow_only_in_the_cube_root_search():
+    # _cube_root is the one search for a cube root of unity; a pow call
+    # anywhere else in represent.py would be a second copy of it.
+    assert _calls_in_represent("pow", "_cube_root") == (1, 1)
+
+
+def test_represent_builds_a_shape_only_in_shape():
+    # _shape turns one factor stream into one shape; a second
+    # _general_form_from call would build the shape of n twice.
+    assert _calls_in_represent("_general_form_from", "_shape") == (1, 1)

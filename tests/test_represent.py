@@ -7,8 +7,10 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import loeschian.factorize as factorize_mod
 import loeschian.represent as represent_mod
 from loeschian import (
+    GeneralForm,
     NotRepresentableError,
     Representation,
     U64_MAX,
@@ -19,7 +21,9 @@ from loeschian import (
     enumerate_reps,
     evaluate,
     factor,
+    general_form,
     is_loeschian,
+    is_prime,
     rational_lift,
     represent_fast,
     represent_prime,
@@ -313,6 +317,71 @@ def test_witnesses_are_the_variant_two_chain_over_the_split_primes():
                 assert rational_lift(Fraction(x, 7), Fraction(y, 7)) == (n, witness), (family, n)
             assert enumerate_reps(n) == _oracle_reps(n, (1, 2)), (family, n)
         assert found >= 5, family
+
+
+@pytest.fixture
+def shape_builds(monkeypatch):
+    """Record the factor lists that represent.py turns into a shape."""
+    calls = []
+    build = represent_mod._general_form_from
+
+    def counting(factors):
+        calls.append(factors)
+        return build(factors)
+
+    monkeypatch.setattr(represent_mod, "_general_form_from", counting)
+    return calls
+
+
+def test_each_answer_builds_the_shape_once(shape_builds, monkeypatch):
+    # The prime powers from trial division and the cofactor's, read lazily,
+    # make one factor stream: one shape per answer, also where rho splits m.
+    rho_splits = []
+    rho_split = factorize_mod._rho_split
+    monkeypatch.setattr(factorize_mod, "_rho_split",
+                        lambda n, seed: rho_splits.append(n) or rho_split(n, seed))
+    rng = Random(32)
+    p, q = (_prime_near(rng, 2**31, 2**32, 1) for _ in range(2))  # a 64-bit value for rho
+    s, t = (_prime_near(rng, 2**25, 2**26, 1) for _ in range(2))  # room for a small part
+    r = _prime_near(rng, 2**25, 2**26, 5)
+    values = [p * q, 49 * s * t, 12 * s * t, 5 * s * t, 4 * r * r, 7 * s * r, 1009 * 1013,
+              2**2 * 3 * 7**3, 2**61 - 1, U64_MAX]
+    for n in values:
+        for answer in (count_formula, general_form, represent_fast, is_loeschian):
+            shape_builds.clear()
+            answer(n)
+            assert len(shape_builds) == 1, (answer.__name__, n)
+        if (witness := is_loeschian(n).witness) is not None:
+            shape_builds.clear()
+            assert rational_lift(witness.a, witness.b) == (n, witness)
+            assert len(shape_builds) == 1, ("rational_lift", n)
+    assert {p * q, s * t, 1009 * 1013} <= set(rho_splits)
+
+
+def test_general_form_is_the_shape_of_the_whole_factorization():
+    # _shape reads only as much of the factorization as the answer needs, and
+    # stands (m, 1) in for a cofactor m = 2 (mod 3); the answers must still be
+    # those of the whole factorization, and the (m, 1) never leaves represent.py.
+    rng = Random(19)
+    values = _drawn_values(rng)
+    stand_ins = []
+    for i in range(30):  # a value, times a cofactor m = 2 (mod 3) of one or two primes
+        m = _prime_near(rng, 2**10, 2 ** rng.randint(11, 30), 5)
+        if i % 2:
+            m *= _prime_near(rng, 2**10, 2 ** rng.randint(11, 30), 1)
+        stand_ins.append(3 ** rng.randint(0, 3) * 4 ** rng.randint(0, 2) * 7 ** rng.randint(0, 2) * m)
+    values["m = 2 (mod 3)"] = stand_ins
+    values["u64"] = [rng.randrange(1, U64_MAX + 1) for _ in range(40)]
+    for family, ns in values.items():
+        for n in ns:
+            whole = _general_form_from(factor(n))
+            representable = isinstance(whole, GeneralForm)
+            assert general_form(n) == (whole if representable else None), (family, n)
+            assert count_formula(n) == represent_mod._count(whole), (family, n)
+            verdict = is_loeschian(n)
+            assert verdict.representable == representable, (family, n)
+            if not representable:
+                assert verdict.obstruction == whole and is_prime(whole[0]), (family, n)
 
 
 def test_is_loeschian_known_values():
