@@ -6,8 +6,8 @@ from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple
 
-from .factorize import (RHO_SEED, GeneralForm, _cofactor_factors, _general_form_from,
-                        _trial_part, is_prime)
+from .factorize import (RHO_SEED, _TRIAL_COVERED, GeneralForm, _cofactor_factors,
+                        _general_form_from, _trial_part, is_prime)
 from .forms import Representation, U64_MAX, _new_pair, _require_positive_u64, _require_u64, compose
 
 
@@ -15,7 +15,6 @@ class NotRepresentableError(ArithmeticError):
     """Raised when a value provably has no representation."""
 
 
-_REP_ONE = Representation(1, 0)
 _REP_THREE = Representation(1, 1)
 _ZERO_SHAPE = GeneralForm(0, 0, [])  # 0 = 0^2 times the empty product, built as (0, 0)
 
@@ -89,16 +88,18 @@ def _shape(n: int, seed: int = RHO_SEED,
     """_general_form_from(factor(n, seed)), factoring only as far as the answer needs.
 
     A residual prime with odd exponent among the prime powers below 1000 is
-    the first obstruction, since every prime of the cofactor m they leave is
-    larger, so the lazy factors of m are never read. Unless the obstruction is
-    asked for, an m = 2 (mod 3) stands in as (m, 1): m holds no 3, so m mod 3 is
-    (-1) to the total exponent of its primes 2 (mod 3), and one of them has an
-    odd exponent. (m, 1) is an obstruction whose m need not be prime, so only
-    callers that test for a GeneralForm take it. Other m go to rho.
+    the first obstruction, as every prime of the cofactor m they leave is
+    larger. Trial division leaves m no prime p with p^2 <= m, and a composite m
+    below 1009^2 would have one (p <= 997), so such an m is 1 or a prime and
+    goes in as (m, 1). Unless the obstruction is asked for, so does a larger
+    m = 2 (mod 3): m holds no 3, so m mod 3 is (-1) to the total exponent of its
+    primes 2 (mod 3), and one has an odd exponent; as that m need not be prime,
+    only callers that test for a GeneralForm take it. Other m go to rho.
     """
     small, m = _trial_part(n)
-    rest = [(m, 1)] if m % 3 == 2 and not obstruction else _cofactor_factors(m, seed)
-    return _general_form_from(chain(small, rest))
+    cheap = m < _TRIAL_COVERED or m % 3 == 2 and not obstruction
+    rest = ((m, 1),) if cheap else _cofactor_factors(m, seed)
+    return _general_form_from(chain(small, rest) if m > 1 else small)
 
 
 def general_form(n: int, seed: int = RHO_SEED) -> GeneralForm | None:
@@ -120,7 +121,7 @@ def enumerate_reps(n: int) -> list[Representation]:
     shape = general_form(n) if n else _ZERO_SHAPE
     if shape is None:
         return []
-    return sorted(_construct(shape, n, (1, 2)), key=itemgetter(1))
+    return sorted(_reps(shape, n), key=itemgetter(1))
 
 
 class Verdict(NamedTuple):
@@ -146,24 +147,43 @@ def is_loeschian(n: int) -> Verdict:
     shape = _shape(n, obstruction=True) if n else _ZERO_SHAPE
     if not isinstance(shape, GeneralForm):
         return Verdict(False, obstruction=shape)
-    return Verdict(True, witness=_construct(shape, n)[0])
+    return Verdict(True, witness=_witness(shape, n))
 
 
-def _construct(shape: GeneralForm, n: int,
-               variants: tuple[int, ...] = (2,)) -> list[Representation]:
-    """Representations of n built from its shape, each checked to carry the value n.
+def _witness(shape: GeneralForm, n: int) -> Representation:
+    """The witness is_loeschian gives for n: one walk in Z[w] on plain ints, checked.
 
-    Every pair found so far is composed with each split prime's pair once per
-    exponent, in each of the variants: variant 2 alone builds one witness,
-    variants 1 and 2 build every representation. The fold in compose removes
-    the 12 symmetries (6 units times conjugation), so the set holds no
-    duplicates.
+    Each step is compose(r, pair, 2) without input checks, once per exponent of
+    each split prime; (1, 1), of value 3, taken twice is (3, 0), so 3^2 scales.
     """
-    reps = {_REP_ONE}
+    a, b = 1, 0
+    for p, e in shape.primes:
+        d, c = _prime_rep(p)  # swapped, as compose variant 2 takes it: the conjugate up to a unit
+        for _ in range(e):
+            a, b = a * c - b * d, a * d + b * c + b * d
+            if a < 0:
+                a, b = a + b, -a
+            if a < b:
+                a, b = b, a
+    if shape.power_of_three & 1:
+        a, b = a + 2 * b, a - b  # compose(r, (1, 1), 1), already folded as a >= b >= 0
+    s = shape.scale * 3 ** (shape.power_of_three >> 1)
+    if (a * a + a * b + b * b) * s * s != n:
+        raise RuntimeError(f"constructed representation for {n} failed verification")
+    return _new_pair(Representation, (a * s, b * s))
+
+
+def _reps(shape: GeneralForm, n: int) -> list[Representation]:
+    """Every representation of n: sets of compose calls in variants 1 and 2, each checked.
+
+    The fold in compose removes the 12 symmetries (6 units times conjugation),
+    so a set of the products over the split primes holds no duplicates.
+    """
+    reps = {Representation(1, 0)}
     for p, e in shape.primes:
         prime_rep = _prime_rep(p)
         for _ in range(e):
-            reps = {compose(r, prime_rep, v) for r in reps for v in variants}
+            reps = {compose(r, prime_rep, v) for r in reps for v in (1, 2)}
     for _ in range(shape.power_of_three):
         reps = {compose(r, _REP_THREE, 1) for r in reps}
     s = shape.scale
@@ -181,7 +201,7 @@ def represent_fast(n: int) -> Representation | None:
     like general_form, it stops at the first sign that n is not a value.
     """
     shape = general_form(n)
-    return None if shape is None else _construct(shape, n)[0]
+    return None if shape is None else _witness(shape, n)
 
 
 def count_formula(n: int) -> int:
@@ -247,4 +267,4 @@ def rational_lift(alpha: Fraction, beta: Fraction) -> tuple[int, Representation]
     shape = general_form(n) if n else _ZERO_SHAPE
     if shape is None:
         raise RuntimeError(f"form value {n} of a rational point is not representable")
-    return n, _construct(shape, n)[0]
+    return n, _witness(shape, n)

@@ -158,10 +158,10 @@ def test_is_prime_matches_sympy_in_each_base_tier():
 
 PSI_7 = 341550071728321
 # The prime factors above 37 of Sinclair's seven bases, which is_prime runs
-# from psi_7 up, with their bases. The first-run screen refuses a multiple of
-# 73 before any base runs; multiples of the others reach the bases.
-WIDE_FACTORS = {73: (28178, 450775), 193: (28178,), 407521: (9780504,),
-                299210837: (1795265022,)}
+# from psi_7 up, with the bases that hold them. 73 divides 28178 and 450775,
+# but the first-run screen (primes 2..131) refuses its multiples before any
+# base runs, so it has none listed; multiples of the others reach the bases.
+WIDE_FACTORS = {73: (), 193: (28178,), 407521: (9780504,), 299210837: (1795265022,)}
 
 
 def _in_wide_tier(n):
@@ -203,11 +203,14 @@ def test_is_prime_matches_sympy_in_the_seven_base_tier():
 def test_a_wide_base_sharing_a_factor_with_n_rejects_it(monkeypatch):
     # With the sharing base alone, a^d mod n keeps the common factor, so it is
     # never 1 or n - 1 and the test says composite; a prime passes every base.
+    # With no base at all, only the screen can refuse: it does for 73 and no other.
     rng = Random(2012)
     primes = [sympy.nextprime(rng.randrange(PSI_7, 2**64 - 2**10)) for _ in range(5)]
     for f, bases in WIDE_FACTORS.items():
         composites = [f * sympy.nextprime(rng.randrange(-(-PSI_7 // f), U64_MAX // f - 2**12))
                       for _ in range(5)]
+        monkeypatch.setattr(factorize_mod, "_MR_WIDE", ())
+        assert [is_prime(n) for n in composites] == [f > 131] * 5, f
         for base in bases:
             monkeypatch.setattr(factorize_mod, "_MR_WIDE", (base,))
             assert not any(map(is_prime, composites)), (f, base)

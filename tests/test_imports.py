@@ -92,27 +92,34 @@ def test_only_forms_words_the_64_bit_input_contract():
         assert not spelled, f"{path.name} spells {sorted(spelled)} itself"
 
 
-def _calls_in_represent(name, function):
-    """How often represent.py calls name: in the whole module, and in its top-level function."""
+def _refs_in_represent(name, function):
+    """How often represent.py refers to name: in the whole module, and in its top-level function."""
     path = PACKAGE / "represent.py"
     tree = ast.parse(path.read_text(), filename=str(path))
 
-    def calls(root):
-        return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                   and node.func.id == name for node in ast.walk(root))
+    def refs(root):
+        return sum(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                   and node.id == name for node in ast.walk(root))
 
     [body] = [node for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name == function]
-    return calls(tree), calls(body)
+    return refs(tree), refs(body)
 
 
 def test_represent_runs_pow_only_in_the_cube_root_search():
     # _cube_root is the one search for a cube root of unity; a pow call
     # anywhere else in represent.py would be a second copy of it.
-    assert _calls_in_represent("pow", "_cube_root") == (1, 1)
+    assert _refs_in_represent("pow", "_cube_root") == (1, 1)
 
 
 def test_represent_builds_a_shape_only_in_shape():
     # _shape turns one factor stream into one shape; a second
     # _general_form_from call would build the shape of n twice.
-    assert _calls_in_represent("_general_form_from", "_shape") == (1, 1)
+    assert _refs_in_represent("_general_form_from", "_shape") == (1, 1)
+
+
+def test_represent_composes_only_in_reps():
+    # A witness is one plain-int walk in Z[w] (_witness); only the set of every
+    # representation, for enumerate_reps, is built from compose calls.
+    uses, in_reps = _refs_in_represent("compose", "_reps")
+    assert uses == in_reps > 0

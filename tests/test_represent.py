@@ -299,7 +299,12 @@ def test_witnesses_are_the_variant_two_chain_over_the_split_primes():
     # The CLI prints these witnesses, so which pair each call returns is part
     # of the contract, not only that it carries the value.
     seven = represent_prime(7)
-    for family, values in _drawn_values(Random(18)).items():
+    families = _drawn_values(Random(18))
+    # Edges of the walk: no prime at all, only 3s, one prime to a high power,
+    # only a scale, a prime cofactor below 1009^2, and two 32-bit split primes.
+    families["edges"] = [1, 3, 3**40, 7**22, 3**20 * 7**9, 3 * 2**62, 4 * 1000003,
+                         13**4 * 31**3 * 3**5 * 5**2, 2147483659 * 2147483713]
+    for family, values in families.items():
         found = 0
         for n in values:
             chain = _oracle_reps(n, (2,))
@@ -317,6 +322,39 @@ def test_witnesses_are_the_variant_two_chain_over_the_split_primes():
                 assert rational_lift(Fraction(x, 7), Fraction(y, 7)) == (n, witness), (family, n)
             assert enumerate_reps(n) == _oracle_reps(n, (1, 2)), (family, n)
         assert found >= 5, family
+
+
+def test_witnesses_compose_nothing_and_small_cofactors_skip_rho(monkeypatch):
+    # A witness is one plain-int walk, so only enumerate_reps calls compose; a
+    # cofactor below 1009^2 is 1 or a prime and goes into the shape as it is.
+    calls = {"compose": 0, "_cofactor_factors": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(represent_mod, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(represent_mod, name, counting)
+    points = _constructed_points()
+    values = [n for family in _drawn_values(Random(18)).values() for n in family]
+    values += [m for m, _ in points] + [4 * 1000003]
+    calls.update(compose=0, _cofactor_factors=0)
+    for m, point in points:
+        assert rational_lift(*point) == (m, is_loeschian(m).witness), point
+    assert calls == {"compose": 0, "_cofactor_factors": 0}
+    composed = rho = 0
+    for n in values:
+        calls.update(compose=0, _cofactor_factors=0)
+        witness = is_loeschian(n).witness
+        assert represent_fast(n) == witness, n
+        if witness is not None:
+            assert rational_lift(witness.b, Fraction(witness.a)) == (n, witness), n
+            assert divide_by_square(n, 1) == witness, n
+        assert calls["compose"] == 0, n
+        if factorize_mod._trial_part(n)[1] < factorize_mod._TRIAL_COVERED:
+            assert calls["_cofactor_factors"] == 0, n
+        rho += calls["_cofactor_factors"]
+        assert enumerate_reps(n) == (_oracle_reps(n, (1, 2)) or []), n
+        composed += calls["compose"]
+    assert rho > 0 and composed > 0  # the counting wrappers are the functions called
 
 
 @pytest.fixture
@@ -525,14 +563,21 @@ def test_rational_lift_matches_fraction_arithmetic():
     assert large_denominators > 100 and lifted >= 800
 
 
-def test_rational_lift_on_constructed_points():
+def _constructed_points():
+    """Seeded values m below 400 with a point (x/k, y/k) of value m, from a pair of m k^2."""
     rng = Random(11)
     loeschian_values = [n for n in range(1, 400) if is_loeschian(n).representable]
+    points = []
     for _ in range(60):
         m = rng.choice(loeschian_values)
         k = rng.choice([1, 2, 3, 5, 7, 13])
-        reps = enumerate_reps(m * k * k)
-        x, y = rng.choice(reps)
-        value, rep = rational_lift(Fraction(x, k), Fraction(y, k))
+        x, y = rng.choice(enumerate_reps(m * k * k))
+        points.append((m, (Fraction(x, k), Fraction(y, k))))
+    return points
+
+
+def test_rational_lift_on_constructed_points():
+    for m, point in _constructed_points():
+        value, rep = rational_lift(*point)
         assert value == m
         assert rep.value == m
