@@ -8,14 +8,13 @@ from typing import NamedTuple
 
 from .factorize import (RHO_SEED, _TRIAL_COVERED, GeneralForm, _cofactor_factors,
                         _general_form_from, _trial_part, is_prime)
-from .forms import Representation, U64_MAX, _new_pair, _require_positive_u64, _require_u64, compose
+from .forms import Representation, U64_MAX, _new_pair, _require_positive_u64, _require_u64
 
 
 class NotRepresentableError(ArithmeticError):
     """Raised when a value provably has no representation."""
 
 
-_REP_THREE = Representation(1, 1)
 _ZERO_SHAPE = GeneralForm(0, 0, [])  # 0 = 0^2 times the empty product, built as (0, 0)
 
 
@@ -47,40 +46,41 @@ def _cube_root(p: int) -> int:
 def represent_prime(p: int) -> Representation:
     """Constructive canonical representation of a prime.
 
-    Exists exactly for p = 3 and p = 1 (mod 6). For the latter, a square
-    root r of -3 (mod p) comes from the cube root of unity, and a Euclidean
-    remainder descent on (2p, r) stops at the first remainder u with
-    u^2 < 4p, which satisfies u^2 + 3v^2 = 4p; the pair ((u-v)/2, v) then
-    carries the value p.
+    Exists exactly for p = 3 and p = 1 (mod 6). For the latter, r = 2z + 1 from
+    the cube root of unity z has r^2 = -3 (mod 4p), and a Euclidean descent on
+    (2p, r) (modified Cornacchia; H. Cohen, Alg. 1.5.3) stops at the first
+    remainder u <= 2sqrt(p). Its remainders x = 2ps + ry give points (x, y), each
+    two in a row a basis of the lattice L = {x = ry (mod 2p)}, with yy' <= 0. So
+    the last, w = (u, y), after w' = (u', y') with u' > 2sqrt(p), has |y| <= 2p/u'
+    < sqrt(p), and u^2 + 3y^2, a multiple of 4p on L, is 4p: v = |y|. In the plane
+    (x, sqrt(3)y), the 60 degree turn t(x, y) = ((x - 3y)/2, (x + y)/2) maps L to
+    itself, and w, t(w) span area 2sqrt(3)p, all of L: so w' = jw +- t(w). Were w
+    at f in (30, 90] degrees above the x-axis (below is the mirror image), each
+    jw +- t(w) with x > 2sqrt(p) (j >= 1 for +, j >= 2 for -) would lie above the
+    axis too, as sin f > 1/2 > sin(f + 60) - sin f; but y' is not above. So f < 30
+    (f = 30 means p = 3v^2): u > 3v, and ((u - v)/2, v) is canonical as it stands.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 3:
-        return _REP_THREE
+        return Representation(1, 1)
     if p % 6 != 1:
         raise NotRepresentableError(f"prime {p} is {p % 6} (mod 6) and has no representation")
     return _prime_rep(p)
 
 
 def _prime_rep(p: int) -> Representation:
-    """represent_prime for a p already known to be a prime 1 (mod 6)."""
+    """represent_prime for a p already known to be a prime 1 (mod 6); one check, no fold."""
     r = 2 * _cube_root(p) + 1  # r^2 = -3 (mod p)
     target = 4 * p
     a, u = 2 * p, r
     while u * u > target:
         a, u = u, a % u
-    v2, residue = divmod(target - u * u, 3)
-    if residue:
-        raise RuntimeError(f"descent for p={p} left 4p - u^2 not divisible by 3")
-    v = isqrt(v2)
-    if v * v != v2:
-        raise RuntimeError(f"descent for p={p} left (4p - u^2)/3 a non-square")
+    v = isqrt((target - u * u) // 3)
     a, b = (u - v) >> 1, v
-    if a < 0:  # the one turn of canonicalize that can apply: both entries become positive
-        a, b = a + b, -a
-    if a * a + a * b + b * b != p:
+    if a < b or a * a + a * b + b * b != p:
         raise RuntimeError(f"construction for p={p} failed verification")
-    return _new_pair(Representation, (a, b) if a >= b else (b, a))
+    return _new_pair(Representation, (a, b))
 
 
 def _shape(n: int, seed: int = RHO_SEED,
@@ -150,48 +150,50 @@ def is_loeschian(n: int) -> Verdict:
     return Verdict(True, witness=_witness(shape, n))
 
 
-def _witness(shape: GeneralForm, n: int) -> Representation:
-    """The witness is_loeschian gives for n: one walk in Z[w] on plain ints, checked.
+def _times(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """compose((a, b), (c, d), 1) on plain ints: the Z[w] product, turned and ordered."""
+    bd = b * d
+    x, y = a * c - bd, a * d + b * c + bd
+    if x < 0:
+        x, y = x + y, -x
+    return (x, y) if x >= y else (y, x)
 
-    Each step is compose(r, pair, 2) without input checks, once per exponent of
-    each split prime; (1, 1), of value 3, taken twice is (3, 0), so 3^2 scales.
+
+def _witness(shape: GeneralForm, n: int) -> Representation:
+    """The witness is_loeschian gives for n: one walk of _times steps in Z[w], checked.
+
+    From the scale, one step per exponent of each split prime, by its swapped pair
+    as compose variant 2 takes it; (1, 1), of value 3, taken twice is (3, 0), so 3^2
+    joins the scale. Each step commutes with scaling, so the walk may start there.
     """
-    a, b = 1, 0
+    a, b = shape.scale * 3 ** (shape.power_of_three >> 1), 0
     for p, e in shape.primes:
-        d, c = _prime_rep(p)  # swapped, as compose variant 2 takes it: the conjugate up to a unit
+        d, c = _prime_rep(p)  # swapped: the conjugate up to a unit
         for _ in range(e):
-            a, b = a * c - b * d, a * d + b * c + b * d
-            if a < 0:
-                a, b = a + b, -a
-            if a < b:
-                a, b = b, a
+            a, b = _times(a, b, c, d)
     if shape.power_of_three & 1:
-        a, b = a + 2 * b, a - b  # compose(r, (1, 1), 1), already folded as a >= b >= 0
-    s = shape.scale * 3 ** (shape.power_of_three >> 1)
-    if (a * a + a * b + b * b) * s * s != n:
+        a, b = _times(a, b, 1, 1)
+    if a * a + a * b + b * b != n:
         raise RuntimeError(f"constructed representation for {n} failed verification")
-    return _new_pair(Representation, (a * s, b * s))
+    return _new_pair(Representation, (a, b))
 
 
 def _reps(shape: GeneralForm, n: int) -> list[Representation]:
-    """Every representation of n: sets of compose calls in variants 1 and 2, each checked.
+    """Every representation of n: sets of _times steps by each prime pair and its swap.
 
-    The fold in compose removes the 12 symmetries (6 units times conjugation),
-    so a set of the products over the split primes holds no duplicates.
+    The walks start from the scale, as _witness does. The fold in _times removes the
+    12 symmetries (6 units times conjugation), so no set holds duplicates.
     """
-    reps = {Representation(1, 0)}
+    reps = {(shape.scale, 0)}
     for p, e in shape.primes:
-        prime_rep = _prime_rep(p)
+        c, d = _prime_rep(p)
         for _ in range(e):
-            reps = {compose(r, prime_rep, v) for r in reps for v in (1, 2)}
+            reps = {_times(a, b, *pair) for a, b in reps for pair in ((c, d), (d, c))}
     for _ in range(shape.power_of_three):
-        reps = {compose(r, _REP_THREE, 1) for r in reps}
-    s = shape.scale
-    built = list(reps) if s == 1 else [_new_pair(Representation, (a * s, b * s)) for a, b in reps]
-    for a, b in built:
-        if a * a + a * b + b * b != n:
-            raise RuntimeError(f"constructed representation for {n} failed verification")
-    return built
+        reps = {_times(a, b, 1, 1) for a, b in reps}
+    if any(a * a + a * b + b * b != n for a, b in reps):
+        raise RuntimeError(f"constructed representation for {n} failed verification")
+    return [_new_pair(Representation, pair) for pair in reps]
 
 
 def represent_fast(n: int) -> Representation | None:
@@ -219,12 +221,9 @@ def _count(shape: GeneralForm | tuple[int, int]) -> int:
     if not isinstance(shape, GeneralForm):
         return 0
     product = 1
-    all_even = True
     for _, e in shape.primes:
         product *= e + 1
-        if e & 1:
-            all_even = False
-    return (1 + product) >> 1 if all_even else product >> 1
+    return (product + 1) >> 1  # the product is odd exactly when every e is even
 
 
 def divide_by_square(n: int, k: int) -> Representation:

@@ -24,8 +24,9 @@ from loeschian import (
     is_prime,
     represent_fast,
 )
-from loeschian.factorize import (_BLOCK, _MR_BASES, _MR_PSI, _TRIAL_BLOCKS, _TRIAL_PRIMES,
-                                 _primes_upto, _rho_split, _sieve, _trial_part, _window_factors)
+from loeschian.factorize import (_BLOCK, _MR_BASES, _MR_PSI, _TRIAL_BLOCKS, _TRIAL_COVERED,
+                                 _TRIAL_PRIMES, _primes_upto, _rho_split, _sieve, _trial_part,
+                                 _window_factors)
 from loeschian.verify import CONJECTURE_LIMIT, _SEGMENT
 from oracles import factor_with_table, sieve_primes, smallest_factor_table, trial_divide
 
@@ -352,6 +353,8 @@ def test_trial_part_matches_a_per_prime_loop():
         assert prod(p**e for p, e in powers[len(small):]) * rest == m, n
         if small and m > 1:
             assert min(sympy.primefactors(m)) > small[-1][0], n
+        if m < _TRIAL_COVERED:  # represent._shape takes such a cofactor as 1 or a prime
+            assert m == 1 or sympy.isprime(m), n
         assert factor(n) == sorted(sympy.factorint(n).items()), n
 
 

@@ -118,8 +118,10 @@ def test_represent_builds_a_shape_only_in_shape():
     assert _refs_in_represent("_general_form_from", "_shape") == (1, 1)
 
 
-def test_represent_composes_only_in_reps():
-    # A witness is one plain-int walk in Z[w] (_witness); only the set of every
-    # representation, for enumerate_reps, is built from compose calls.
-    uses, in_reps = _refs_in_represent("compose", "_reps")
-    assert uses == in_reps > 0
+def test_represent_builds_every_pair_with_one_step():
+    # _times is the one product-and-fold in Z[w]: the witness walk and the sets
+    # of every representation both take it, and represent.py names no compose.
+    assert _refs_in_represent("compose", "_reps") == (0, 0)
+    uses, in_witness = _refs_in_represent("_times", "_witness")
+    in_reps = _refs_in_represent("_times", "_reps")[1]
+    assert in_witness > 0 and in_reps > 0 and uses == in_witness + in_reps

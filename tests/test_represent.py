@@ -301,9 +301,11 @@ def test_witnesses_are_the_variant_two_chain_over_the_split_primes():
     seven = represent_prime(7)
     families = _drawn_values(Random(18))
     # Edges of the walk: no prime at all, only 3s, one prime to a high power,
-    # only a scale, a prime cofactor below 1009^2, and two 32-bit split primes.
+    # only a scale, a prime cofactor below 1009^2, a cofactor of exactly 1009^2,
+    # and two 32-bit split primes.
     families["edges"] = [1, 3, 3**40, 7**22, 3**20 * 7**9, 3 * 2**62, 4 * 1000003,
-                         13**4 * 31**3 * 3**5 * 5**2, 2147483659 * 2147483713]
+                         13**4 * 31**3 * 3**5 * 5**2, 2147483659 * 2147483713,
+                         1009**2, 7 * 1009**2, 12 * 1009**2]
     for family, values in families.items():
         found = 0
         for n in values:
@@ -325,36 +327,35 @@ def test_witnesses_are_the_variant_two_chain_over_the_split_primes():
 
 
 def test_witnesses_compose_nothing_and_small_cofactors_skip_rho(monkeypatch):
-    # A witness is one plain-int walk, so only enumerate_reps calls compose; a
-    # cofactor below 1009^2 is 1 or a prime and goes into the shape as it is.
-    calls = {"compose": 0, "_cofactor_factors": 0}
-    for name in calls:
-        def counting(*args, name=name, original=getattr(represent_mod, name)):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(represent_mod, name, counting)
+    # A cofactor below 1009^2 is 1 or a prime and goes into the shape as it is.
+    # That no witness calls compose is checked in test_imports: represent.py
+    # names no compose at all.
+    calls = {"_cofactor_factors": 0}
+
+    def counting(*args, original=represent_mod._cofactor_factors):
+        calls["_cofactor_factors"] += 1
+        return original(*args)
+    monkeypatch.setattr(represent_mod, "_cofactor_factors", counting)
     points = _constructed_points()
     values = [n for family in _drawn_values(Random(18)).values() for n in family]
     values += [m for m, _ in points] + [4 * 1000003]
-    calls.update(compose=0, _cofactor_factors=0)
+    calls.update(_cofactor_factors=0)
     for m, point in points:
         assert rational_lift(*point) == (m, is_loeschian(m).witness), point
-    assert calls == {"compose": 0, "_cofactor_factors": 0}
-    composed = rho = 0
+    assert calls == {"_cofactor_factors": 0}
+    rho = 0
     for n in values:
-        calls.update(compose=0, _cofactor_factors=0)
+        calls.update(_cofactor_factors=0)
         witness = is_loeschian(n).witness
         assert represent_fast(n) == witness, n
         if witness is not None:
             assert rational_lift(witness.b, Fraction(witness.a)) == (n, witness), n
             assert divide_by_square(n, 1) == witness, n
-        assert calls["compose"] == 0, n
         if factorize_mod._trial_part(n)[1] < factorize_mod._TRIAL_COVERED:
             assert calls["_cofactor_factors"] == 0, n
         rho += calls["_cofactor_factors"]
         assert enumerate_reps(n) == (_oracle_reps(n, (1, 2)) or []), n
-        composed += calls["compose"]
-    assert rho > 0 and composed > 0  # the counting wrappers are the functions called
+    assert rho > 0  # the counting wrapper is the function called
 
 
 @pytest.fixture
@@ -523,6 +524,10 @@ def test_rational_lift_errors():
     _raises(ValueError, "form value 31/4 is not an integer", Fraction(1, 2), Fraction(5, 2))
     _raises(ValueError, "form value 3/4 is not an integer", Fraction(1, 2), Fraction(1, 2))
     top = big - 1
+    # A denominator of exactly 2^64 - 1 is in range; 5 divides it, so no such value is an integer.
+    inexact = f"form value {Fraction(1, top) ** 2 + Fraction(1, top) + 1} is not an integer"
+    _raises(ValueError, inexact, Fraction(1, top), Fraction(1))
+    _raises(ValueError, inexact, Fraction(1), Fraction(1, top))
     _raises(OverflowError, f"form value {3 * top * top} exceeds the 64-bit range", top, top)
     _raises(OverflowError, f"form value {big} exceeds the 64-bit range", Fraction(2**32), Fraction(0))
 
