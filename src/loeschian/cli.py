@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .factorize import factor
@@ -35,7 +36,7 @@ from .represent import (
 )
 from .verify import (
     SweepRange,
-    emit_sequence,
+    _sequence,
     verify_conjecture,
     verify_factor_theorem,
     verify_prime_theorems,
@@ -85,44 +86,35 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a single JSON document")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler, *operands: str) -> argparse.ArgumentParser:
+        """A subcommand whose positionals, named by operands, are unsigned 64-bit integers."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                        help="emit a single JSON document")
+        for operand in operands:
+            p.add_argument(operand, type=_u64)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("classify", "decide whether N is a value of the form", _cmd_classify)
-    p.add_argument("n", type=_u64)
+    add("classify", "decide whether N is a value of the form", _cmd_classify, "n")
 
-    p = add("represent", "list or construct representations of N", _cmd_represent)
-    p.add_argument("n", type=_u64)
+    p = add("represent", "list or construct representations of N", _cmd_represent, "n")
     how = p.add_mutually_exclusive_group()
     how.add_argument("--all", action="store_true",
                      help="every representation, ascending second entry")
     how.add_argument("--fast", action="store_true",
                      help="construct one witness from the factorization instead of every product")
 
-    p = add("count", "number of canonical representations of N", _cmd_count)
-    p.add_argument("n", type=_u64)
+    add("count", "number of canonical representations of N", _cmd_count, "n")
+    add("prime-rep", "canonical representation of a prime", _cmd_prime_rep, "p")
+    add("root", "cube root of unity below P/2 for a prime P = 1 (mod 6)", _cmd_root, "p")
 
-    p = add("prime-rep", "canonical representation of a prime", _cmd_prime_rep)
-    p.add_argument("p", type=_u64)
-
-    p = add("root", "cube root of unity below P/2 for a prime P = 1 (mod 6)", _cmd_root)
-    p.add_argument("p", type=_u64)
-
-    p = add("compose", "compose two pairs into a pair representing the product", _cmd_compose)
-    p.add_argument("a", type=_u64)
-    p.add_argument("b", type=_u64)
-    p.add_argument("c", type=_u64)
-    p.add_argument("d", type=_u64)
+    p = add("compose", "compose two pairs into a pair representing the product", _cmd_compose,
+            "a", "b", "c", "d")
     p.add_argument("--variant", type=int, choices=range(1, 7), default=1, metavar="1..6",
                    help="rules 1 and 2 target the plus form, 3 to 6 the minus form")
 
-    p = add("convert", "move a pair between the plus and minus forms", _cmd_convert)
-    p.add_argument("a", type=_u64)
-    p.add_argument("b", type=_u64)
+    p = add("convert", "move a pair between the plus and minus forms", _cmd_convert, "a", "b")
     p.add_argument("--direction", choices=("plus-to-minus", "minus-to-plus"),
                    default="plus-to-minus")
 
@@ -133,8 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("sequence", "ascending representable values from 0 up to a limit", _cmd_sequence)
     p.add_argument("--limit", type=_u64, required=True)
 
-    p = add("factor", "prime factorization of N", _cmd_factor)
-    p.add_argument("n", type=_u64)
+    add("factor", "prime factorization of N", _cmd_factor, "n")
 
     p = add("verify", "run a checking sweep and report mismatches", _cmd_verify)
     p.add_argument("kind", choices=("conjecture", "residues", "primes", "factors"))
@@ -230,7 +221,9 @@ def _cmd_lift(args):
 
 
 def _cmd_sequence(args):
-    terms = [str(t) for t in emit_sequence(args.limit)]
+    # One lazy stream of terms, read only by the output that runs: text writes
+    # each term as it comes, JSON lists them once through json.dumps' default.
+    terms = map(str, _sequence(args.limit))
     return EXIT_OK, {"limit": str(args.limit), "terms": terms}, terms
 
 
@@ -276,12 +269,11 @@ def _cmd_verify(args):
     return (EXIT_OK if report.ok else EXIT_NEGATIVE), doc, lines
 
 
-def _emit(as_json: bool, doc: dict, lines: list[str]) -> None:
+def _emit(as_json: bool, doc: dict, lines: Iterable[str]) -> None:
     if as_json:
-        print(json.dumps(doc, separators=(",", ":")))
+        print(json.dumps(doc, separators=(",", ":"), default=list))
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 def run(argv: list[str] | None = None) -> int:

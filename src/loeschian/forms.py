@@ -138,6 +138,15 @@ def check_identities(a: int, b: int, c: int, d: int) -> bool:
     )
 
 
+def _times(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """The Z[w] product of (a, b) and (c, d) on plain ints, turned and ordered onto the wedge."""
+    bd = b * d
+    x, y = a * c - bd, a * d + b * c + bd
+    if x < 0:
+        x, y = x + y, -x
+    return (x, y) if x >= y else (y, x)
+
+
 def compose(r1: Representation, r2: Representation, variant: int = 1) -> Representation:
     """Canonical representation of the product of two represented values.
 
@@ -154,13 +163,7 @@ def compose(r1: Representation, r2: Representation, variant: int = 1) -> Represe
         if variant != 2:
             raise ValueError(f"variant must be 1 or 2, got {variant!r}")
         c, d = d, c  # the conjugate of (c, d), up to a unit the fold removes
-    bd = b * d
-    x = a * c - bd
-    y = a * d + b * c + bd
-    if x < 0:
-        x, y = x + y, -x
-    if x < y:
-        x, y = y, x
+    x, y = _times(a, b, c, d)
     # x >= y >= 0, so the value is at most 3x^2 and only x >= 2^31 can overflow.
     # An entry beyond 64 bits ends up here too: as a zero product or an overflow.
     if not x or x >> 31 and x * x + x * y + y * y > U64_MAX:

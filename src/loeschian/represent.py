@@ -8,7 +8,8 @@ from typing import NamedTuple
 
 from .factorize import (RHO_SEED, _TRIAL_COVERED, GeneralForm, _cofactor_factors,
                         _general_form_from, _trial_part, is_prime)
-from .forms import Representation, U64_MAX, _new_pair, _require_positive_u64, _require_u64
+from .forms import (Representation, U64_MAX, _new_pair, _require_positive_u64, _require_u64,
+                    _times)
 
 
 class NotRepresentableError(ArithmeticError):
@@ -148,15 +149,6 @@ def is_loeschian(n: int) -> Verdict:
     if not isinstance(shape, GeneralForm):
         return Verdict(False, obstruction=shape)
     return Verdict(True, witness=_witness(shape, n))
-
-
-def _times(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """compose((a, b), (c, d), 1) on plain ints: the Z[w] product, turned and ordered."""
-    bd = b * d
-    x, y = a * c - bd, a * d + b * c + bd
-    if x < 0:
-        x, y = x + y, -x
-    return (x, y) if x >= y else (y, x)
 
 
 def _witness(shape: GeneralForm, n: int) -> Representation:

@@ -309,11 +309,13 @@ def verify_factor_theorem(pair_bound: int, samples: int, seed: int) -> Verificat
     return _report(SweepRange(1, pair_bound, 1), samples, mismatches(), perf_counter())
 
 
-def emit_sequence(limit: int) -> list[int]:
-    """Ascending list of every representable value up to limit, starting at 0.
+def _sequence(limit: int) -> Iterator[int]:
+    """The values with a nonzero lattice count, segment by segment of _parts over [0, limit]."""
+    return chain.from_iterable(_parts(
+        lambda segment: compress(segment, _window_counts(segment[0], segment[-1])), 0, limit))
 
-    The values with a nonzero lattice count, segment by segment of _parts over [0, limit].
-    """
+
+def emit_sequence(limit: int) -> list[int]:
+    """Ascending list of every representable value up to limit, starting at 0."""
     _require_u64("limit", limit)
-    return list(chain.from_iterable(_parts(
-        lambda segment: compress(segment, _window_counts(segment[0], segment[-1])), 0, limit)))
+    return list(_sequence(limit))

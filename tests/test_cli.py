@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import loeschian
 import loeschian.cli as cli_mod
-from loeschian import U64_MAX, count_formula, evaluate, is_loeschian, represent_fast
+from loeschian import (U64_MAX, count_formula, emit_sequence, evaluate, is_loeschian,
+                       represent_fast)
 from loeschian.cli import run
 
 
@@ -263,6 +265,29 @@ def test_sequence(capsys):
 
     code, doc = invoke_json(capsys, "sequence", "--limit", "13", "--json")
     assert doc == {"limit": "13", "terms": ["0", "1", "3", "4", "7", "9", "12", "13"]}
+
+    # Both outputs hold every term of emit_sequence, on each side of the segment edges.
+    for limit in (0, 1, 2, 65535, 65536, 65537, 200000):
+        terms = [str(t) for t in emit_sequence(limit)]
+        code, out, _ = invoke(capsys, "sequence", "--limit", str(limit))
+        assert (code, out) == (0, "".join(f"{t}\n" for t in terms)), limit
+        code, doc = invoke_json(capsys, "sequence", "--limit", str(limit), "--json")
+        assert (code, doc) == (0, {"limit": str(limit), "terms": terms}), limit
+
+
+def test_text_sequence_writes_each_term_as_it_is_made():
+    # The terms up to the limit never sit in memory at once: text output writes
+    # each term as its segment yields it. Output goes to devnull, since
+    # capturing it would hold all of it in memory.
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = run(["sequence", "--limit", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000, f"traced peak {peak} bytes"
 
 
 def test_factor(capsys):

@@ -130,12 +130,18 @@ def test_canonicalize_rejects_out_of_range():
         canonicalize(U64_MAX + 1, 0)
     with pytest.raises(OverflowError):
         canonicalize(-U64_MAX, U64_MAX)
+    # The widest entries pass the range checks and fail only on the value.
+    with pytest.raises(OverflowError):
+        canonicalize(U64_MAX, 0)
+    with pytest.raises(OverflowError):
+        canonicalize(0, -U64_MAX)
 
 
 def test_solve_b_known_values():
     assert solve_b(7, 2) == 1
     assert solve_b(7, 3) is None
     assert solve_b(49, 7) == 0
+    assert solve_b(U64_MAX, 0) is None  # the largest n is accepted, and is no value
 
 
 def test_solve_b_rejects_bad_n():
@@ -267,6 +273,7 @@ def test_convert_plus_to_minus_known_values():
     assert convert_plus_to_minus(Representation(2, 1)) == ((2, 3), (1, 3))
     assert convert_plus_to_minus(Representation(1, 1)) == ((1, 2), (1, 2))
     assert convert_plus_to_minus(Representation(1, 0)) == ((1, 1), (0, 1))
+    assert convert_plus_to_minus(Representation(U64_MAX, 0)) == ((U64_MAX, U64_MAX), (0, U64_MAX))
 
 
 def test_convert_minus_to_plus_known_values():

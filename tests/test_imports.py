@@ -92,9 +92,9 @@ def test_only_forms_words_the_64_bit_input_contract():
         assert not spelled, f"{path.name} spells {sorted(spelled)} itself"
 
 
-def _refs_in_represent(name, function):
-    """How often represent.py refers to name: in the whole module, and in its top-level function."""
-    path = PACKAGE / "represent.py"
+def _refs(module, name, function):
+    """How often module refers to name: in the whole module, and in its top-level function."""
+    path = PACKAGE / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
 
     def refs(root):
@@ -109,19 +109,21 @@ def _refs_in_represent(name, function):
 def test_represent_runs_pow_only_in_the_cube_root_search():
     # _cube_root is the one search for a cube root of unity; a pow call
     # anywhere else in represent.py would be a second copy of it.
-    assert _refs_in_represent("pow", "_cube_root") == (1, 1)
+    assert _refs("represent", "pow", "_cube_root") == (1, 1)
 
 
 def test_represent_builds_a_shape_only_in_shape():
     # _shape turns one factor stream into one shape; a second
     # _general_form_from call would build the shape of n twice.
-    assert _refs_in_represent("_general_form_from", "_shape") == (1, 1)
+    assert _refs("represent", "_general_form_from", "_shape") == (1, 1)
 
 
 def test_represent_builds_every_pair_with_one_step():
-    # _times is the one product-and-fold in Z[w]: the witness walk and the sets
-    # of every representation both take it, and represent.py names no compose.
-    assert _refs_in_represent("compose", "_reps") == (0, 0)
-    uses, in_witness = _refs_in_represent("_times", "_witness")
-    in_reps = _refs_in_represent("_times", "_reps")[1]
+    # _times, in forms.py, is the one product-and-fold in Z[w]: compose, the witness
+    # walk and the sets of every representation all take it, and represent.py
+    # names no compose.
+    assert _refs("forms", "_times", "compose")[1] == 1
+    assert _refs("represent", "compose", "_reps") == (0, 0)
+    uses, in_witness = _refs("represent", "_times", "_witness")
+    in_reps = _refs("represent", "_times", "_reps")[1]
     assert in_witness > 0 and in_reps > 0 and uses == in_witness + in_reps

@@ -28,6 +28,7 @@ from oracles import brute_sequence, scan_reps
 
 def test_sweep_range_validation():
     assert SweepRange(1, 5).workers == 1
+    assert SweepRange(1, U64_MAX).hi == U64_MAX
     with pytest.raises(ValueError):
         SweepRange(0, 5)
     with pytest.raises(ValueError):
@@ -206,6 +207,10 @@ def test_verify_residues_known_limits():
     assert report.ok
     assert report.checked == 125751
 
+    report = verify_residues(1)
+    assert report.ok
+    assert report.checked == 3
+
 
 def test_verify_residues_rejects_zero():
     # the report range starts at 1, so a limit of 0 has nothing to sweep
@@ -223,6 +228,11 @@ def test_verify_residues_guards_its_pair_count(monkeypatch):
     for limit in (10**8 + 1, U64_MAX):
         with pytest.raises(ValueError):
             verify_residues(limit)
+    # The largest entry whose values fit in 64 bits passes the entry check.
+    edge = verify_mod._ENTRY_LIMIT
+    with pytest.raises(ValueError, match=f"^limit={edge} gives {(edge + 1) * (edge + 2) // 2} "
+                                         "pairs, past the sweep guard 100000000$"):
+        verify_residues(edge)
     monkeypatch.setattr(verify_mod, "_report",
                         lambda sweep, checked, found, start: (sweep, checked))
     assert verify_residues(14140) == (SweepRange(1, 14140), 99991011)
@@ -329,6 +339,10 @@ def test_primitive_counts_follow_theorem_iii():
 
 
 def test_verify_prime_theorems_known_limits():
+    report = verify_prime_theorems(2)
+    assert report.ok
+    assert report.checked == 1
+
     report = verify_prime_theorems(3)
     assert report.ok
     assert report.checked == 2
@@ -434,13 +448,16 @@ def test_prime_theorems_hold_by_exhaustive_search_below_ten_to_the_sixth():
     assert report.checked == 78498
 
 
-def test_verify_prime_theorems_rejects_tiny_limit():
+def test_verify_prime_theorems_rejects_tiny_limit(monkeypatch):
     with pytest.raises(ValueError):
         verify_prime_theorems(1)
     # Past the conjecture sweep's guard the sieve and the window would not fit in memory.
     for limit in (verify_mod.CONJECTURE_LIMIT + 1, 10**17, U64_MAX):
         with pytest.raises(ValueError, match="exceeds the sweep guard 100000000"):
             verify_prime_theorems(limit)
+    # The guard itself is accepted; a small guard keeps that sweep short.
+    monkeypatch.setattr(verify_mod, "CONJECTURE_LIMIT", 1000)
+    assert verify_prime_theorems(1000).checked == 168
 
 
 def test_verify_factor_theorem_known_inputs():
@@ -451,6 +468,11 @@ def test_verify_factor_theorem_known_inputs():
     report = verify_factor_theorem(5, 10, 7)
     assert report.ok
     assert report.checked == 10
+
+    # Entries up to the largest whose values fit in 64 bits are drawn.
+    report = verify_factor_theorem(verify_mod._ENTRY_LIMIT, 1, 0)
+    assert report.ok
+    assert report.checked == 1
 
 
 def test_verify_factor_theorem_is_reproducible():

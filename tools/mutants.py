@@ -1,6 +1,6 @@
 """Comparison-swap mutation run for a module of the loeschian package.
 
-    python tools/mutants.py represent factorize
+    python tools/mutants.py represent factorize forms cli verify
 
 Each mutant swaps one comparison operator of the module (< and <=, > and >=,
 == and !=) and runs the module's own test files against it with pytest, in a
@@ -41,12 +41,37 @@ EQUIVALENT = {
         "u^2 = 4p would make p a square, so the descent never stops on equality",
     "represent: _prime_rep: a <= b":
         "a = b would give p = 3b^2, which is not a prime 1 (mod 6)",
-    "represent: _times: x <= 0":
-        "at x = 0 the turn gives (y, 0), which ordering (0, y) gives as well",
-    "represent: _times: x > y":
-        "at x = y both branches return the same pair",
     "represent: rational_lift: n >= U64_MAX":
         "2^64 - 1 has the prime 5 to the first power, so no rational point has that value",
+    "forms: evaluate: q >= U64_MAX":
+        "2^64 - 1 has the prime 5 to the first power, so it is no value of the form",
+    "forms: evaluate_minus: q >= U64_MAX":
+        "the minus form takes the same values, and 2^64 - 1 is none of them",
+    "forms: canonicalize: q >= U64_MAX":
+        "2^64 - 1 has the prime 5 to the first power, so no signed pair has that value",
+    "forms: canonicalize: c <= d":
+        "at c = d the swap leaves the same pair",
+    "forms: solve_b: disc <= 0":
+        "disc = 0 means 4n = 3a^2 with n >= 1, so a > 0 and t = -a < 0 gives None as well",
+    **{f"forms: check_identities: {test}":
+       "an entry at the edge only takes the fallback _require_entries, whose exact bounds pass it"
+       for x in "abcd" for test in (f"0 < {x} <= U64_MAX", f"0 <= {x} < U64_MAX")},
+    "forms: _times: x <= 0":
+        "at x = 0 the turn gives (y, 0), which ordering (0, y) gives as well",
+    "forms: _times: x > y":
+        "at x = y both branches return the same pair",
+    "forms: compose: x * x + x * y + y * y >= U64_MAX":
+        "2^64 - 1 has the prime 5 to the first power, so it is no product of two values",
+    "forms: compose_minus: x > 0":
+        "at x = 0 both branches give (y, 0)",
+    "forms: compose_minus: x * x - x * y + y * y >= U64_MAX":
+        "2^64 - 1 has the prime 5 to the first power, so it is no product of two values",
+    "verify: verify_residues: checked >= CONJECTURE_LIMIT":
+        "10^8 is no (l + 1)(l + 2)/2, so no limit gives exactly that many pairs",
+    "verify: mismatches: 0 < rep.b <= rep.a":
+        "a pair (a, 0) has the square value a^2, so no prime has a pair with b = 0",
+    "verify: mismatches: x > y":
+        "coprime entries are equal only at (1, 1), where both branches give the same pair",
 }
 
 
