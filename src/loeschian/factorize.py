@@ -3,7 +3,7 @@
 from bisect import bisect
 from collections.abc import Iterable, Iterator
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -300,3 +300,22 @@ def _general_form_from(factors: Iterable[tuple[int, int]]) -> GeneralForm | tupl
         else:
             scale *= p ** (e >> 1)
     return GeneralForm(scale, power_of_three, primes)
+
+
+def _shape(n: int, seed: int = RHO_SEED,
+           obstruction: bool = False) -> GeneralForm | tuple[int, int]:
+    """_general_form_from(factor(n, seed)), factoring only as far as the answer needs.
+
+    A residual prime with odd exponent among the prime powers below 1000 is
+    the first obstruction, as every prime of the cofactor m they leave is
+    larger. Trial division leaves m no prime p with p^2 <= m, and a composite m
+    below 1009^2 would have one (p <= 997), so such an m is 1 or a prime and
+    goes in as (m, 1). Unless the obstruction is asked for, so does a larger
+    m = 2 (mod 3): m holds no 3, so m mod 3 is (-1) to the total exponent of its
+    primes 2 (mod 3), and one has an odd exponent; as that m need not be prime,
+    only callers that test for a GeneralForm take it. Other m go to rho.
+    """
+    small, m = _trial_part(n)
+    cheap = m < _TRIAL_COVERED or m % 3 == 2 and not obstruction
+    rest = ((m, 1),) if cheap else _cofactor_factors(m, seed)
+    return _general_form_from(chain(small, rest) if m > 1 else small)

@@ -1,13 +1,11 @@
 """Deciding which integers the form a^2 + ab + b^2 attains, and finding witnesses."""
 
 from fractions import Fraction
-from itertools import chain
 from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple
 
-from .factorize import (RHO_SEED, _TRIAL_COVERED, GeneralForm, _cofactor_factors,
-                        _general_form_from, _trial_part, is_prime)
+from .factorize import RHO_SEED, GeneralForm, _shape, is_prime
 from .forms import (Representation, U64_MAX, _new_pair, _require_positive_u64, _require_u64,
                     _times)
 
@@ -84,25 +82,6 @@ def _prime_rep(p: int) -> Representation:
     return _new_pair(Representation, (a, b))
 
 
-def _shape(n: int, seed: int = RHO_SEED,
-           obstruction: bool = False) -> GeneralForm | tuple[int, int]:
-    """_general_form_from(factor(n, seed)), factoring only as far as the answer needs.
-
-    A residual prime with odd exponent among the prime powers below 1000 is
-    the first obstruction, as every prime of the cofactor m they leave is
-    larger. Trial division leaves m no prime p with p^2 <= m, and a composite m
-    below 1009^2 would have one (p <= 997), so such an m is 1 or a prime and
-    goes in as (m, 1). Unless the obstruction is asked for, so does a larger
-    m = 2 (mod 3): m holds no 3, so m mod 3 is (-1) to the total exponent of its
-    primes 2 (mod 3), and one has an odd exponent; as that m need not be prime,
-    only callers that test for a GeneralForm take it. Other m go to rho.
-    """
-    small, m = _trial_part(n)
-    cheap = m < _TRIAL_COVERED or m % 3 == 2 and not obstruction
-    rest = ((m, 1),) if cheap else _cofactor_factors(m, seed)
-    return _general_form_from(chain(small, rest) if m > 1 else small)
-
-
 def general_form(n: int, seed: int = RHO_SEED) -> GeneralForm | None:
     """Split n into the representable shape, or None in place of _shape's obstruction."""
     shape = _shape(n, seed)
@@ -173,15 +152,15 @@ def _witness(shape: GeneralForm, n: int) -> Representation:
 def _reps(shape: GeneralForm, n: int) -> list[Representation]:
     """Every representation of n: sets of _times steps by each prime pair and its swap.
 
-    The walks start from the scale, as _witness does. The fold in _times removes the
-    12 symmetries (6 units times conjugation), so no set holds duplicates.
+    The walks start where _witness starts, each 3^2 in the scale. The fold in _times
+    removes the 12 symmetries (6 units times conjugation), so no set holds duplicates.
     """
-    reps = {(shape.scale, 0)}
+    reps = {(shape.scale * 3 ** (shape.power_of_three >> 1), 0)}
     for p, e in shape.primes:
         c, d = _prime_rep(p)
         for _ in range(e):
             reps = {_times(a, b, *pair) for a, b in reps for pair in ((c, d), (d, c))}
-    for _ in range(shape.power_of_three):
+    if shape.power_of_three & 1:
         reps = {_times(a, b, 1, 1) for a, b in reps}
     if any(a * a + a * b + b * b != n for a, b in reps):
         raise RuntimeError(f"constructed representation for {n} failed verification")

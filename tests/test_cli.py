@@ -411,6 +411,9 @@ def test_usage_errors(capsys):
     assert invoke(capsys, "represent", "-5")[0] == 2
     assert invoke(capsys, "represent", "18446744073709551616")[0] == 2
     assert invoke(capsys, "represent", "ninety")[0] == 2
+    for text in ("-1", "18446744073709551616"):  # the parser's own range check words the error
+        code, out, err = invoke(capsys, "count", text)
+        assert (code, out) == (2, "") and f"argument n: {text} is outside the unsigned" in err, err
     for bound in (10**17, U64_MAX):
         code, out, err = invoke(capsys, "verify", "primes", "--max", str(bound))
         assert (code, out) == (2, "") and err.startswith("error: "), err

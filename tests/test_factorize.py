@@ -353,7 +353,7 @@ def test_trial_part_matches_a_per_prime_loop():
         assert prod(p**e for p, e in powers[len(small):]) * rest == m, n
         if small and m > 1:
             assert min(sympy.primefactors(m)) > small[-1][0], n
-        if m < _TRIAL_COVERED:  # represent._shape takes such a cofactor as 1 or a prime
+        if m < _TRIAL_COVERED:  # _shape takes such a cofactor as 1 or a prime
             assert m == 1 or sympy.isprime(m), n
         assert factor(n) == sorted(sympy.factorint(n).items()), n
 
@@ -677,6 +677,8 @@ def test_general_form_known_values():
     assert general_form(12) == GeneralForm(2, 1, [])
     assert general_form(147) == GeneralForm(1, 1, [(7, 2)])
     assert general_form(10) is None
+    assert general_form(1009**2) == GeneralForm(1, 0, [(1009, 2)])
+    assert general_form(12 * 1009**2) == GeneralForm(2, 1, [(1009, 2)])
 
 
 def test_general_form_rejects_bad_input():

@@ -59,6 +59,8 @@ def test_evaluate_overflow():
     assert evaluate(ENTRY_MAX, ENTRY_MAX) <= U64_MAX
     with pytest.raises(OverflowError):
         evaluate(ENTRY_MAX + 1, ENTRY_MAX + 1)
+    with pytest.raises(OverflowError):  # the minus form passes 64 bits at (2^32, 0) already
+        evaluate_minus(2**32, 0)
 
 
 @given(entries, entries)
@@ -128,6 +130,8 @@ def test_canonicalize_fixes_canonical_pairs(rep):
 def test_canonicalize_rejects_out_of_range():
     with pytest.raises(ValueError):
         canonicalize(U64_MAX + 1, 0)
+    with pytest.raises(ValueError):
+        canonicalize(0, -U64_MAX - 1)
     with pytest.raises(OverflowError):
         canonicalize(-U64_MAX, U64_MAX)
     # The widest entries pass the range checks and fail only on the value.
@@ -261,6 +265,15 @@ def test_compose_minus_rejects_bad_variant():
                 compose_minus(partner, Representation(U64_MAX + 1, 5), variant)
 
 
+def test_compose_minus_rejects_misordered_pairs_and_overflow():
+    with pytest.raises(ValueError, match="^compose_minus needs canonical pairs"):
+        compose_minus(Representation(1, 2), Representation(1, 0), 3)
+    big = Representation(2**32, 0)  # its value squared is 2^128
+    for variant in (3, 4, 5, 6):
+        with pytest.raises(OverflowError):
+            compose_minus(big, big, variant)
+
+
 @given(canonical_pairs(50), canonical_pairs(50), st.sampled_from((3, 4, 5, 6)))
 @example(Representation(1, 1), Representation(1, 1), 5)
 def test_compose_minus_multiplies_values(r1, r2, variant):
@@ -274,6 +287,8 @@ def test_convert_plus_to_minus_known_values():
     assert convert_plus_to_minus(Representation(1, 1)) == ((1, 2), (1, 2))
     assert convert_plus_to_minus(Representation(1, 0)) == ((1, 1), (0, 1))
     assert convert_plus_to_minus(Representation(U64_MAX, 0)) == ((U64_MAX, U64_MAX), (0, U64_MAX))
+    with pytest.raises(OverflowError):  # a + b passes 64 bits
+        convert_plus_to_minus(Representation(U64_MAX, 1))
 
 
 def test_convert_minus_to_plus_known_values():

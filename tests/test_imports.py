@@ -112,10 +112,27 @@ def test_represent_runs_pow_only_in_the_cube_root_search():
     assert _refs("represent", "pow", "_cube_root") == (1, 1)
 
 
-def test_represent_builds_a_shape_only_in_shape():
+def test_factorize_builds_a_shape_only_in_shape():
     # _shape turns one factor stream into one shape; a second
     # _general_form_from call would build the shape of n twice.
-    assert _refs("represent", "_general_form_from", "_shape") == (1, 1)
+    assert _refs("factorize", "_general_form_from", "_shape") == (1, 1)
+
+
+def test_represent_starts_from_a_shape():
+    # How far n is factored is decided in factorize.py alone: represent.py takes
+    # the shape from _shape, and only factorize.py names the rule that a
+    # cofactor below 1009^2 is 1 or a prime.
+    tree = ast.parse((PACKAGE / "represent.py").read_text())
+    taken = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "factorize"
+             for alias in node.names}
+    assert taken == {"RHO_SEED", "GeneralForm", "_shape", "is_prime"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "factorize.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            names = {node.id if isinstance(node, ast.Name) else node.name
+                     for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.alias))}
+            assert "_TRIAL_COVERED" not in names, path.name
 
 
 def test_represent_builds_every_pair_with_one_step():

@@ -332,10 +332,10 @@ def test_witnesses_compose_nothing_and_small_cofactors_skip_rho(monkeypatch):
     # names no compose at all.
     calls = {"_cofactor_factors": 0}
 
-    def counting(*args, original=represent_mod._cofactor_factors):
+    def counting(*args, original=factorize_mod._cofactor_factors):
         calls["_cofactor_factors"] += 1
         return original(*args)
-    monkeypatch.setattr(represent_mod, "_cofactor_factors", counting)
+    monkeypatch.setattr(factorize_mod, "_cofactor_factors", counting)
     points = _constructed_points()
     values = [n for family in _drawn_values(Random(18)).values() for n in family]
     values += [m for m, _ in points] + [4 * 1000003]
@@ -360,15 +360,15 @@ def test_witnesses_compose_nothing_and_small_cofactors_skip_rho(monkeypatch):
 
 @pytest.fixture
 def shape_builds(monkeypatch):
-    """Record the factor lists that represent.py turns into a shape."""
+    """Record the factor lists that factorize._shape turns into a shape."""
     calls = []
-    build = represent_mod._general_form_from
+    build = factorize_mod._general_form_from
 
     def counting(factors):
         calls.append(factors)
         return build(factors)
 
-    monkeypatch.setattr(represent_mod, "_general_form_from", counting)
+    monkeypatch.setattr(factorize_mod, "_general_form_from", counting)
     return calls
 
 
@@ -400,7 +400,7 @@ def test_each_answer_builds_the_shape_once(shape_builds, monkeypatch):
 def test_general_form_is_the_shape_of_the_whole_factorization():
     # _shape reads only as much of the factorization as the answer needs, and
     # stands (m, 1) in for a cofactor m = 2 (mod 3); the answers must still be
-    # those of the whole factorization, and the (m, 1) never leaves represent.py.
+    # those of the whole factorization, and the (m, 1) never reaches an answer.
     rng = Random(19)
     values = _drawn_values(rng)
     stand_ins = []

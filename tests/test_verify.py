@@ -214,7 +214,7 @@ def test_verify_residues_known_limits():
 
 def test_verify_residues_rejects_zero():
     # the report range starts at 1, so a limit of 0 has nothing to sweep
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^limit=0 must be positive and keep values within"):
         verify_residues(0)
 
 
@@ -514,7 +514,7 @@ def test_divisors_carry_their_own_factorizations():
 
 
 def test_verify_factor_theorem_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pair_bound=0 must be positive and keep values within"):
         verify_factor_theorem(0, 1, 0)
     with pytest.raises(ValueError):
         verify_factor_theorem(5, 0, 0)

@@ -1,15 +1,17 @@
-"""Comparison-swap mutation run for a module of the loeschian package.
+"""Comparison-swap and dropped-if mutation run for a module of the loeschian package.
 
     python tools/mutants.py represent factorize forms cli verify
 
-Each mutant swaps one comparison operator of the module (< and <=, > and >=,
-== and !=) and runs the module's own test files against it with pytest, in a
-copy of src/ and tests/ under a temporary directory, so the checkout is never
-touched. A mutant is killed when the tests fail or run past five times the
-clean run, and at least 30 s (a hang counts as killed). Every surviving mutant must be named in EQUIVALENT with
-the reason no input can tell it apart; an unnamed survivor, or a named mutant
-that no longer survives, fails the run. Stdlib only, apart from the test suite's
-own dependencies; it is not part of the tier-1 tests.
+Each mutant swaps one comparison operator of the module (< and <=, > and >=, ==
+and !=), or replaces the body of one if statement with pass, keeping its test
+and any else (an elif is an if of its own), and runs the module's own test
+files against it with pytest, in a copy of src/ and tests/ under a temporary
+directory, so the checkout is never touched. A mutant is killed when the tests
+fail or run past five times the clean run, and at least 30 s (a hang counts as
+killed). Every surviving mutant must be named in EQUIVALENT with the reason no
+input can tell it apart; an unnamed survivor, or a named mutant that no longer
+survives, fails the run. Stdlib only, apart from the test suite's own
+dependencies; it is not part of the tier-1 tests.
 """
 
 import argparse
@@ -29,20 +31,33 @@ TESTS = {
     "represent": ["test_represent.py", "test_cli.py", "test_imports.py", "test_forms.py"],
     "factorize": ["test_factorize.py"],
 }
-# Survivors no test can kill, keyed "module: function: mutated comparison".
+# Survivors no test can kill, keyed "module: function: mutated comparison" or
+# "module: function: drop if <test>".
 EQUIVALENT = {
     "factorize: _window_factors: first > width":
         "at first == width the loop over range(first, width, p) is empty anyway",
+    "factorize: _window_factors: drop if first >= width":
+        "a prime with no multiple in the block visits an empty range, so the skip only saves work",
     "factorize: _rho_split: k <= r":
         "at k == r the extra batch runs min(128, r - k) = 0 steps and takes the same gcd",
     "factorize: _factor_hard: n <= _TRIAL_COVERED":
         "n = 1009^2 is a square, so the isqrt branch takes it before this test",
+    "represent: _cube_root: drop if (z * z + z + 1) % p != 0":
+        "a safety check: the first power w != 1 is a primitive cube root of unity (the docstring)",
     "represent: _prime_rep: u * u >= target":
         "u^2 = 4p would make p a square, so the descent never stops on equality",
     "represent: _prime_rep: a <= b":
         "a = b would give p = 3b^2, which is not a prime 1 (mod 6)",
+    "represent: _prime_rep: drop if a < b or a * a + a * b + b * b != p":
+        "a safety check: represent_prime's docstring proves the descent ends on a pair of value p",
+    "represent: _witness: drop if a * a + a * b + b * b != n":
+        "a safety check: each _times step multiplies the value by its pair's, so it ends at n",
+    "represent: _reps: drop if any((a * a + a * b + b * b != n for a, b in reps))":
+        "a safety check: each _times step multiplies the value by its pair's, so all end at n",
     "represent: rational_lift: n >= U64_MAX":
         "2^64 - 1 has the prime 5 to the first power, so no rational point has that value",
+    "represent: rational_lift: drop if shape is None":
+        "an integer value at a rational point is a value over the integers (the docstring)",
     "forms: evaluate: q >= U64_MAX":
         "2^64 - 1 has the prime 5 to the first power, so it is no value of the form",
     "forms: evaluate_minus: q >= U64_MAX":
@@ -51,6 +66,8 @@ EQUIVALENT = {
         "2^64 - 1 has the prime 5 to the first power, so no signed pair has that value",
     "forms: canonicalize: c <= d":
         "at c = d the swap leaves the same pair",
+    "forms: canonicalize: drop if c * c + c * d + d * d != q":
+        "a safety check: the turn (c + d, -c) and the swap keep the value, so it is always q",
     "forms: solve_b: disc <= 0":
         "disc = 0 means 4n = 3a^2 with n >= 1, so a > 0 and t = -a < 0 gives None as well",
     **{f"forms: check_identities: {test}":
@@ -68,6 +85,8 @@ EQUIVALENT = {
         "2^64 - 1 has the prime 5 to the first power, so it is no product of two values",
     "verify: verify_residues: checked >= CONJECTURE_LIMIT":
         "10^8 is no (l + 1)(l + 2)/2, so no limit gives exactly that many pairs",
+    "verify: _digits: drop if sys.byteorder == 'big'":
+        "array('Q') is native-endian, so the swap runs on a big-endian host only",
     "verify: mismatches: 0 < rep.b <= rep.a":
         "a pair (a, 0) has the square value a^2, so no prime has a pair with b = 0",
     "verify: mismatches: x > y":
@@ -76,8 +95,14 @@ EQUIVALENT = {
 
 
 def mutants(tree):
-    """(key, compare node, op index) for every swappable operator, in source order."""
+    """(key, node, field, mutated value) for every mutant, in source order."""
     found, seen = [], {}
+
+    def add(key, node, field, value):
+        seen[key] = seen.get(key, 0) + 1
+        if seen[key] > 1:
+            key += f" #{seen[key]}"
+        found.append((key, node, field, value))
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -85,13 +110,11 @@ def mutants(tree):
             if isinstance(child, ast.Compare):
                 for i, op in enumerate(child.ops):
                     if type(op) in SWAP:
-                        child.ops[i] = SWAP[type(op)]()
-                        key = f"{inner}: {ast.unparse(child)}"
-                        child.ops[i] = op
-                        seen[key] = seen.get(key, 0) + 1
-                        if seen[key] > 1:
-                            key += f" #{seen[key]}"
-                        found.append((key, child, i))
+                        ops = [*child.ops[:i], SWAP[type(op)](), *child.ops[i + 1:]]
+                        swapped = ast.Compare(child.left, ops, child.comparators)
+                        add(f"{inner}: {ast.unparse(swapped)}", child, "ops", ops)
+            elif isinstance(child, ast.If):
+                add(f"{inner}: drop if {ast.unparse(child.test)}", child, "body", [ast.Pass()])
             visit(child, inner)
 
     visit(tree, "<module>")
@@ -124,11 +147,11 @@ def run_module(name, work):
     found = mutants(tree)
     survivors = []
     try:
-        for key, node, i in found:
-            op = node.ops[i]
-            node.ops[i] = SWAP[type(op)]()
+        for key, node, field, value in found:
+            kept = getattr(node, field)
+            setattr(node, field, value)
             path.write_text(ast.unparse(tree))
-            node.ops[i] = op
+            setattr(node, field, kept)
             if run_tests(work, files, limit):
                 survivors.append(f"{name}: {key}")
                 print(f"  survived  {key}", flush=True)
