@@ -205,14 +205,14 @@ def _factor_hard(n: int, counts: dict[int, int], seed: int, times: int = 1) -> N
 
 
 def _trial_part(n: int) -> tuple[list[tuple[int, int]], int]:
-    """The prime powers of n below 1000, ascending, and the cofactor m they leave.
+    """The prime powers trial division below 1000 finds in n, ascending, and the cofactor m.
 
     Every prime factor of m is larger than each prime listed, so the list
     followed by _cofactor_factors(m) is factor(n). Run by run of
     _TRIAL_BLOCKS, g = gcd(n, product of the run) is the product of the run's
     primes that divide n: a run with g = 1 is skipped unread, and a run is
     scanned only until its g is used up. Once the first prime of a run
-    squared passes n, what is left is 1 or a prime.
+    squared passes n, what is left is 1 or a prime, which may lie below 1000.
     """
     _require_positive_u64("n", n)
     small: list[tuple[int, int]] = []

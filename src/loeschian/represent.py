@@ -82,6 +82,11 @@ def _prime_rep(p: int) -> Representation:
     return _new_pair(Representation, (a, b))
 
 
+# The pairs of the split primes below 1000, which recur in almost every small value,
+# built once by the construction itself; represent_prime still runs it on every call.
+_SPLIT_PAIRS = {p: _prime_rep(p) for p in range(7, 1000, 6) if is_prime(p)}
+
+
 def general_form(n: int, seed: int = RHO_SEED) -> GeneralForm | None:
     """Split n into the representable shape, or None in place of _shape's obstruction."""
     shape = _shape(n, seed)
@@ -95,7 +100,8 @@ def enumerate_reps(n: int) -> list[Representation]:
     representation is a product over the (1 mod 6) primes p^e of pi^k times
     conj(pi)^(e-k), k = 0..e, where pi and conj(pi) are the Eisenstein primes
     over p; times the power of 1 - w and the scale. This costs one factor call
-    plus a few compositions per representation, not an O(sqrt n) scan.
+    plus the _times steps of _reps, whose pairs of the split primes below 1000
+    come from a table built at import, not an O(sqrt n) scan.
     """
     _require_u64("n", n)
     shape = general_form(n) if n else _ZERO_SHAPE
@@ -139,7 +145,7 @@ def _witness(shape: GeneralForm, n: int) -> Representation:
     """
     a, b = shape.scale * 3 ** (shape.power_of_three >> 1), 0
     for p, e in shape.primes:
-        d, c = _prime_rep(p)  # swapped: the conjugate up to a unit
+        d, c = _SPLIT_PAIRS.get(p) or _prime_rep(p)  # swapped: the conjugate up to a unit
         for _ in range(e):
             a, b = _times(a, b, c, d)
     if shape.power_of_three & 1:
@@ -157,7 +163,7 @@ def _reps(shape: GeneralForm, n: int) -> list[Representation]:
     """
     reps = {(shape.scale * 3 ** (shape.power_of_three >> 1), 0)}
     for p, e in shape.primes:
-        c, d = _prime_rep(p)
+        c, d = _SPLIT_PAIRS.get(p) or _prime_rep(p)
         for _ in range(e):
             reps = {_times(a, b, *pair) for a, b in reps for pair in ((c, d), (d, c))}
     if shape.power_of_three & 1:

@@ -146,6 +146,7 @@ def test_solve_b_known_values():
     assert solve_b(7, 3) is None
     assert solve_b(49, 7) == 0
     assert solve_b(U64_MAX, 0) is None  # the largest n is accepted, and is no value
+    assert solve_b(2**64 - 1, 0) is None  # that is 2^64 - 1
 
 
 def test_solve_b_rejects_bad_n():
@@ -153,6 +154,8 @@ def test_solve_b_rejects_bad_n():
         solve_b(0, 1)
     with pytest.raises(ValueError):
         solve_b(-7, 1)
+    with pytest.raises(ValueError):
+        solve_b(2**64, 0)
 
 
 def test_solve_b_matches_direct_search():
@@ -181,8 +184,11 @@ def test_check_identities_known_values():
     assert check_identities(1, 1, 1, 1)
     assert check_identities(2, 1, 3, 1)
     assert check_identities(5, 0, 0, 4)
-    with pytest.raises(ValueError, match="d=-1"):
-        check_identities(1, 1, 1, -1)
+    for i, name in enumerate("abcd"):
+        entries = [1, 1, 1, 1]
+        entries[i] = -1
+        with pytest.raises(ValueError, match=f"{name}=-1"):
+            check_identities(*entries)
     with pytest.raises(ValueError, match="b="):
         check_identities(0, U64_MAX + 1, 0, U64_MAX + 1)
 
@@ -205,6 +211,9 @@ def test_compose_known_values():
     assert compose(Representation(3, 1), Representation(5, 1), 2) == (19, 2)
     assert compose(Representation(2, 1), Representation(4, 2), 2) == (14, 0)
     assert compose(Representation(3, 1), Representation(4, 2), 2) == (18, 2)
+    # Variant 1 is the default; variant 2 of 7 and 13 turns a product with x = -1.
+    assert compose(Representation(2, 1), Representation(3, 1)) == (6, 5)
+    assert compose(Representation(2, 1), Representation(3, 1), 2) == (9, 1)
 
 
 def test_compose_rejects_bad_input():
@@ -214,6 +223,12 @@ def test_compose_rejects_bad_input():
         compose(Representation(2, 1), Representation(2, 1), 3)
     with pytest.raises(OverflowError):
         compose(Representation(ENTRY_MAX, ENTRY_MAX), Representation(2, 1), 1)
+    with pytest.raises(OverflowError):  # (2^32 - 1, 2^32 - 1): entries below 2^32
+        compose(Representation(2**32 - 1, 0), Representation(1, 1), 1)
+    with pytest.raises(ValueError):
+        compose(Representation(1, -1), Representation(1, 0), 1)
+    with pytest.raises(ValueError):
+        compose(Representation(1, 0), Representation(1, -1), 1)
     # An entry beyond 64 bits is a range error, whether the product is zero or not.
     too_big = f"a={U64_MAX + 1} is outside the supported unsigned 64-bit range"
     for partner in (Representation(0, 0), Representation(1, 0), Representation(2, 1)):
@@ -251,6 +266,8 @@ def test_compose_minus_known_values():
     ):
         assert compose_minus(r1, r2, 4) == want4
         assert compose_minus(r1, r2, 6) == want6
+    # Variant 4 of 7 and 13 folds a product with x = -1.
+    assert compose_minus(Representation(2, 1), Representation(3, 1), 4) == (10, 1)
 
 
 def test_compose_minus_rejects_bad_variant():
@@ -272,6 +289,12 @@ def test_compose_minus_rejects_misordered_pairs_and_overflow():
     for variant in (3, 4, 5, 6):
         with pytest.raises(OverflowError):
             compose_minus(big, big, variant)
+    with pytest.raises(OverflowError):  # (2^32 - 1, 2^33 - 2): entries below 2^33
+        compose_minus(Representation(2**32 - 1, 0), Representation(1, 1), 5)
+    with pytest.raises(ValueError, match="^compose_minus needs canonical pairs"):
+        compose_minus(Representation(1, -1), Representation(1, 0), 3)
+    with pytest.raises(ValueError, match="^compose_minus needs canonical pairs"):
+        compose_minus(Representation(1, 0), Representation(1, -1), 3)
 
 
 @given(canonical_pairs(50), canonical_pairs(50), st.sampled_from((3, 4, 5, 6)))
@@ -302,6 +325,8 @@ def test_convert_rejects_misordered_pair():
         convert_minus_to_plus(3, 2)
     with pytest.raises(ValueError):
         convert_plus_to_minus(Representation(1, 2))
+    with pytest.raises(ValueError):
+        convert_plus_to_minus(Representation(1, -1))
 
 
 @given(canonical_pairs(10**6))

@@ -144,3 +144,19 @@ def test_represent_builds_every_pair_with_one_step():
     uses, in_witness = _refs("represent", "_times", "_witness")
     in_reps = _refs("represent", "_times", "_reps")[1]
     assert in_witness > 0 and in_reps > 0 and uses == in_witness + in_reps
+
+
+def test_split_pairs_are_built_by_the_construction():
+    # The table is _prime_rep run at import over the split primes below 1000,
+    # not literal pairs; the two walks read it, and represent_prime does not, so
+    # prime-rep, root and the prime sweep still check the construction itself.
+    tree = ast.parse((PACKAGE / "represent.py").read_text())
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "_SPLIT_PAIRS" for t in node.targets)]
+    assert isinstance(table, ast.DictComp)
+    assert isinstance(table.value, ast.Call) and table.value.func.id == "_prime_rep"
+    uses, in_witness = _refs("represent", "_SPLIT_PAIRS", "_witness")
+    in_reps = _refs("represent", "_SPLIT_PAIRS", "_reps")[1]
+    assert in_witness == in_reps == 1 and uses == 2
+    assert _refs("represent", "_SPLIT_PAIRS", "represent_prime")[1] == 0
+    assert _refs("represent", "_SPLIT_PAIRS", "cube_root_unity")[1] == 0

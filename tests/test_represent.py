@@ -74,6 +74,8 @@ def test_represent_prime_refuses_residual_primes():
         represent_prime(2)
     with pytest.raises(NotRepresentableError):
         represent_prime(5)
+    with pytest.raises(NotRepresentableError, match=r"^prime 11 is 5 \(mod 6\) and has no"):
+        represent_prime(11)
     with pytest.raises(ValueError):
         represent_prime(6)
 
@@ -84,6 +86,35 @@ def test_represent_prime_matches_enumeration():
             assert [represent_prime(p)] == enumerate_reps(p)
         else:
             assert enumerate_reps(p) == []
+
+
+def test_split_pairs_are_the_construction_below_1000():
+    # The table holds exactly the primes 1 (mod 6) below 1000, each with the
+    # canonical pair represent_prime builds for it.
+    split = [p for p in sieve_primes(1000) if p % 6 == 1]
+    assert len(split) == 80
+    assert list(represent_mod._SPLIT_PAIRS) == split
+    for p, pair in represent_mod._SPLIT_PAIRS.items():
+        assert type(pair) is Representation and pair.a >= pair.b > 0, p
+        assert pair == represent_prime(p) and pair.value == p, p
+
+
+def test_walks_search_only_for_split_primes_past_the_table(monkeypatch):
+    # Every split prime of these values lies below 1000, so no answer runs the
+    # cube-root search; 1009 is the first split prime past the table.
+    values = [7 * 13**2 * 997, 2**2 * 3**5 * 19**3 * 37]
+    expected = [(is_loeschian(n), represent_fast(n), enumerate_reps(n)) for n in values]
+    lift = rational_lift(Fraction(9), Fraction(1))
+    searches = []
+    cube_root = represent_mod._cube_root
+    monkeypatch.setattr(represent_mod, "_cube_root", lambda p: searches.append(p) or cube_root(p))
+    for n, answers in zip(values, expected):
+        assert (is_loeschian(n), represent_fast(n), enumerate_reps(n)) == answers, n
+        assert divide_by_square(4 * n, 2) == answers[1], n
+    assert lift[0] == 91 and rational_lift(Fraction(9), Fraction(1)) == lift
+    assert searches == []
+    assert is_loeschian(7 * 1009).representable
+    assert searches == [1009]
 
 
 def test_enumerate_known_values():
@@ -510,6 +541,7 @@ def test_rational_lift_errors():
     big = 2**64
     _raises(ValueError, "rational pair (-1/7, 3/7) must be nonnegative", Fraction(-1, 7), Fraction(3, 7))
     _raises(ValueError, "rational pair (1, -3) must be nonnegative", 1, -3)
+    _raises(ValueError, "rational pair (2, -1) must be nonnegative", 2, -1)  # of value 3
     # The sign is checked before the range.
     _raises(ValueError, f"rational pair (-{big}, 1) must be nonnegative", Fraction(-big), 1)
     # A negative part whose denominator is out of range too breaks the sign rule first.

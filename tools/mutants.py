@@ -1,10 +1,11 @@
-"""Comparison-swap and dropped-if mutation run for a module of the loeschian package.
+"""Comparison-swap, dropped-if and off-by-one mutation run for a module of the loeschian package.
 
     python tools/mutants.py represent factorize forms cli verify
 
 Each mutant swaps one comparison operator of the module (< and <=, > and >=, ==
 and !=), or replaces the body of one if statement with pass, keeping its test
-and any else (an elif is an if of its own), and runs the module's own test
+and any else (an elif is an if of its own), or, in the modules of OFF_BY_ONE,
+turns one integer constant k (not a bool) into k + 1 or k - 1; it runs the module's own test
 files against it with pytest, in a copy of src/ and tests/ under a temporary
 directory, so the checkout is never touched. A mutant is killed when the tests
 fail or run past five times the clean run, and at least 30 s (a hang counts as
@@ -31,8 +32,11 @@ TESTS = {
     "represent": ["test_represent.py", "test_cli.py", "test_imports.py", "test_forms.py"],
     "factorize": ["test_factorize.py"],
 }
-# Survivors no test can kill, keyed "module: function: mutated comparison" or
-# "module: function: drop if <test>".
+# Modules whose integer constants are mutated too; the published tables of
+# factorize, and cli and verify, are not run under it yet.
+OFF_BY_ONE = {"represent", "forms"}
+# Survivors no test can kill, keyed "module: function: mutated comparison",
+# "module: function: drop if <test>" or "module: function: <k> -> <k +- 1>".
 EQUIVALENT = {
     "factorize: _window_factors: first > width":
         "at first == width the loop over range(first, width, p) is empty anyway",
@@ -54,6 +58,20 @@ EQUIVALENT = {
         "a safety check: each _times step multiplies the value by its pair's, so it ends at n",
     "represent: _reps: drop if any((a * a + a * b + b * b != n for a, b in reps))":
         "a safety check: each _times step multiplies the value by its pair's, so all end at n",
+    "represent: <module>: 0 -> 1 #2":
+        "the zero shape with one power of 3 steps (0, 0) by (1, 1), which leaves (0, 0)",
+    "represent: _cube_root: 1 -> 0":
+        "p = 1 (mod 3), so p // 3 is (p - 1) // 3",
+    "represent: _cube_root: 2 -> 1":
+        "1 is a cube, so the search goes on to 2 at once",
+    "represent: _cube_root: 2 -> 3":
+        "any cubic non-residue gives a primitive cube root, and min(w, p - 1 - w) is one for both",
+    "represent: _cube_root: 1 -> 2 #3":
+        "the (p - 1)/2 evens below p outnumber the cubic residues, so x = 2, 4, ... meets a non-residue",
+    "represent: <module>: 1000 -> 1001":
+        "7 + 6k steps from 997 to 1003, so the table keeps the same 80 primes",
+    "represent: <module>: 1000 -> 999":
+        "7 + 6k steps from 997 to 1003, so the table keeps the same 80 primes",
     "represent: rational_lift: n >= U64_MAX":
         "2^64 - 1 has the prime 5 to the first power, so no rational point has that value",
     "represent: rational_lift: drop if shape is None":
@@ -68,19 +86,34 @@ EQUIVALENT = {
         "at c = d the swap leaves the same pair",
     "forms: canonicalize: drop if c * c + c * d + d * d != q":
         "a safety check: the turn (c + d, -c) and the swap keep the value, so it is always q",
-    "forms: solve_b: disc <= 0":
-        "disc = 0 means 4n = 3a^2 with n >= 1, so a > 0 and t = -a < 0 gives None as well",
+    **{f"forms: solve_b: {test}":
+       "disc = 0 means 4n = 3a^2 with n >= 1, so a > 0 and t = -a < 0 gives None as well"
+       for test in ("disc <= 0", "0 -> 1")},
+    "forms: solve_b: 0 -> -1":
+        "4n - 3a^2 = -1 needs 3a^2 = 1 (mod 4), which no a gives",
+    "forms: solve_b: 0 -> -1 #2":
+        "t = -1 is odd, so the parity test gives None as well",
+    "forms: solve_b: 1 -> 0":
+        "s^2 = 4n - 3a^2 = a^2 (mod 4), so s and a have one parity and t is always even",
     **{f"forms: check_identities: {test}":
        "an entry at the edge only takes the fallback _require_entries, whose exact bounds pass it"
        for x in "abcd" for test in (f"0 < {x} <= U64_MAX", f"0 <= {x} < U64_MAX")},
-    "forms: _times: x <= 0":
-        "at x = 0 the turn gives (y, 0), which ordering (0, y) gives as well",
+    **{f"forms: check_identities: 0 -> 1{suffix}":
+       "an entry 0 only takes the fallback _require_entries, whose exact bounds pass it"
+       for suffix in ("", " #2", " #3", " #4")},
+    **{f"forms: _times: {test}":
+       "at x = 0 the turn gives (y, 0), which ordering (0, y) gives as well"
+       for test in ("x <= 0", "0 -> 1")},
     "forms: _times: x > y":
         "at x = y both branches return the same pair",
     "forms: compose: x * x + x * y + y * y >= U64_MAX":
         "2^64 - 1 has the prime 5 to the first power, so it is no product of two values",
-    "forms: compose_minus: x > 0":
-        "at x = 0 both branches give (y, 0)",
+    "forms: compose: 31 -> 30":
+        "x >> 30 only sends more products to the exact overflow test",
+    **{f"forms: compose_minus: {test}": "at x = 0 both branches give (y, 0)"
+       for test in ("x > 0", "0 -> 1 #3")},
+    "forms: compose_minus: 32 -> 31":
+        "(x | y) >> 31 only sends more pairs to the exact overflow test",
     "forms: compose_minus: x * x - x * y + y * y >= U64_MAX":
         "2^64 - 1 has the prime 5 to the first power, so it is no product of two values",
     "verify: verify_residues: checked >= CONJECTURE_LIMIT":
@@ -94,7 +127,7 @@ EQUIVALENT = {
 }
 
 
-def mutants(tree):
+def mutants(tree, off_by_one=False):
     """(key, node, field, mutated value) for every mutant, in source order."""
     found, seen = [], {}
 
@@ -115,6 +148,9 @@ def mutants(tree):
                         add(f"{inner}: {ast.unparse(swapped)}", child, "ops", ops)
             elif isinstance(child, ast.If):
                 add(f"{inner}: drop if {ast.unparse(child.test)}", child, "body", [ast.Pass()])
+            elif off_by_one and isinstance(child, ast.Constant) and type(child.value) is int:
+                for k in (child.value + 1, child.value - 1):
+                    add(f"{inner}: {child.value} -> {k}", child, "value", k)
             visit(child, inner)
 
     visit(tree, "<module>")
@@ -144,7 +180,7 @@ def run_module(name, work):
         return [f"{name}: the unmutated tests fail"]
     limit = max(30.0, 5 * (time.monotonic() - start))
     tree = ast.parse(source)
-    found = mutants(tree)
+    found = mutants(tree, name in OFF_BY_ONE)
     survivors = []
     try:
         for key, node, field, value in found:
