@@ -146,7 +146,7 @@ def test_solve_b_known_values():
     assert solve_b(7, 3) is None
     assert solve_b(49, 7) == 0
     assert solve_b(U64_MAX, 0) is None  # the largest n is accepted, and is no value
-    assert solve_b(2**64 - 1, 0) is None  # that is 2^64 - 1
+    assert solve_b(2**64 - 1, 0) is None  # written out, so U64_MAX itself is checked
 
 
 def test_solve_b_rejects_bad_n():

@@ -5,14 +5,14 @@
 Each mutant swaps one comparison operator of the module (< and <=, > and >=, ==
 and !=), or replaces the body of one if statement with pass, keeping its test
 and any else (an elif is an if of its own), or, in the modules of OFF_BY_ONE,
-turns one integer constant k (not a bool) into k + 1 or k - 1; it runs the module's own test
-files against it with pytest, in a copy of src/ and tests/ under a temporary
-directory, so the checkout is never touched. A mutant is killed when the tests
-fail or run past five times the clean run, and at least 30 s (a hang counts as
-killed). Every surviving mutant must be named in EQUIVALENT with the reason no
-input can tell it apart; an unnamed survivor, or a named mutant that no longer
-survives, fails the run. Stdlib only, apart from the test suite's own
-dependencies; it is not part of the tier-1 tests.
+turns one integer constant k (not a bool) into k + 1 or k - 1. Each mutant
+meets the module's own test files, run with pytest in a copy of src/ and tests/
+under a temporary directory, so the checkout is never touched. A mutant is
+killed when the tests fail or run past five times the clean run, and at least
+30 s (a hang counts as killed). Every surviving mutant must be named in
+EQUIVALENT with the reason no input can tell it apart; an unnamed survivor, or
+a named mutant that no longer survives, fails the run. Stdlib only, apart from
+the test suite's own dependencies; it is not part of the tier-1 tests.
 """
 
 import argparse
